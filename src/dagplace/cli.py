@@ -65,7 +65,6 @@ class RunConfig:
     layer_parsingnet: int = 2
     dropout_network: float = 0.2
     dropout_parsing: float = 0.0
-    link_ignore_self_loop: bool = True
     d_pos: int = 16
     pe_base: float = 10000.0
 
@@ -90,6 +89,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.graph is None or cfg.cost_model is None:
         raise ValueError("graph and cost_model must be set via flags or config file")
     return cfg
+
+
+def _load_inputs(graph_path: str, cm_path: str) -> tuple[CompGraph, CostModel]:
+    """Load both inputs; reject cost models that cannot rank placements."""
+    graph = load_graph(graph_path)
+    cm = load_cost_model(cm_path)
+    if cm.num_devices < 2:
+        raise ValueError(f"cost model {cm_path} has fewer than 2 devices")
+    if simulate(graph, np.zeros(graph.num_nodes, dtype=np.intp), cm) <= 0:
+        raise ValueError(f"cpu-only latency of {graph_path} under {cm_path} is 0")
+    return graph, cm
 
 
 def _evaluate_baselines(
@@ -138,8 +148,7 @@ def _write_history(path: Path, history) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    raw = load_graph(cfg.graph)
-    cm = load_cost_model(cfg.cost_model)
+    raw, cm = _load_inputs(cfg.graph, cfg.cost_model)
     if cfg.colocate:
         trained_graph, membership = colocate(raw)
     else:
@@ -166,7 +175,6 @@ def cmd_train(cfg: RunConfig) -> int:
             layer_parsingnet=cfg.layer_parsingnet,
             dropout_network=cfg.dropout_network,
             dropout_parsing=cfg.dropout_parsing,
-            link_ignore_self_loop=cfg.link_ignore_self_loop,
         ),
         FeatureConfig(d_pos=cfg.d_pos, pe_base=cfg.pe_base),
     )
@@ -201,8 +209,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_baselines(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    cm = load_cost_model(args.cost_model)
+    graph, cm = _load_inputs(args.graph, args.cost_model)
     rows = _evaluate_baselines(graph, cm, args.seed, args.skip_optimal)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="merge sole-parent/sole-child chains first (default on)")
     train_p.add_argument("--skip-optimal", action=boolean, default=None,
                          help="omit the brute-force row from the results table")
-    train_p.add_argument("--link-ignore-self-loop", action=boolean, default=None)
     train_p.add_argument("--hidden-channel", type=int)
     train_p.add_argument("--layer-gnn", type=int)
     train_p.add_argument("--layer-trans", type=int)

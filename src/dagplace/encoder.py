@@ -14,7 +14,7 @@ import numpy as np
 
 from .autograd import Tape, Tensor, parameter
 from .graph import CompGraph
-from .nn import Mlp, dropout_mask, glorot, init_mlp, mlp_forward
+from .nn import Mlp, dropout_mask, glorot, init_mlp
 
 
 @dataclass
@@ -48,11 +48,6 @@ def normalize_adjacency(graph: CompGraph | np.ndarray) -> np.ndarray:
     a_hat = a + np.eye(a.shape[0])
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
-
-
-def project(tape: Tape, x: Tensor, projection: Mlp) -> Tensor:
-    """Map raw features to the hidden width (ReLU between layers only)."""
-    return mlp_forward(tape, x, projection)
 
 
 def encode(

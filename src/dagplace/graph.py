@@ -199,6 +199,29 @@ def _find_cycle(graph: CompGraph, remaining: set[int]) -> list[int]:
         path.append(v)
 
 
+def components(n: int, pairs) -> tuple[np.ndarray, int]:
+    """Connected components of nodes 0..n-1 under the undirected `pairs`.
+
+    Returns the component id of every node and the component count. Ids
+    follow the ascending minimum member, so they do not depend on the
+    order of `pairs`.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        # the smaller id stays root, so every root is its component's minimum
+        parent[max(ru, rv)] = min(ru, rv)
+    roots, membership = np.unique([find(v) for v in range(n)], return_inverse=True)
+    return membership.astype(np.intp), len(roots)
+
+
 def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     """Merge sole-parent/sole-child chains into single coarse nodes.
 
@@ -219,30 +242,19 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     in_deg = graph.in_degrees()
     succ = graph.successors()
 
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for v in order.order:
-        if out_deg[v] == 1:
-            (w,) = succ[v]
-            if in_deg[w] == 1:
-                parent[find(w)] = find(v)
-
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(find(v), []).append(v)
-    roots = sorted(members, key=lambda r: min(members[r]))
-    coarse_of_root = {r: i for i, r in enumerate(roots)}
-    membership = [coarse_of_root[find(v)] for v in range(n)]
+    pairs = (
+        (v, succ[v][0])
+        for v in order.order
+        if out_deg[v] == 1 and in_deg[succ[v][0]] == 1
+    )
+    ids, count = components(n, pairs)
+    membership = ids.tolist()
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(membership):
+        groups[c].append(v)
 
     coarse_nodes = []
-    for i, r in enumerate(roots):
-        group = members[r]
+    for i, group in enumerate(groups):
         type_sum = sum(graph.nodes[v].op_type for v in group)
         base, rem = divmod(type_sum, len(group))
         op_type = base + 1 if 2 * rem > len(group) else base  # half rounds down

@@ -3,9 +3,9 @@
 Each edge gets a sigmoid score from the embeddings of its endpoints. Every
 node retains only its single highest-scoring incident edge (counting both
 directions), and the weakly connected components of the retained edge set
-become the clusters. Pooling contracts clusters into super-nodes: cluster
-adjacency is the binarized lift of the node adjacency, cluster features are
-the sums of member rows.
+become the clusters. Pooling contracts clusters into super-nodes: each edge
+(u, v) lifts to the cluster pair (m[u], m[v]), and cluster features are the
+sums of member rows.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tape, Tensor
+from .graph import components
 from .nn import Mlp, mlp_forward
 
 
@@ -24,9 +25,6 @@ class EdgeScores:
 
     edges: tuple[tuple[int, int], ...]
     tensor: Tensor  # |E| x 1, on tape
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {e: float(s) for e, s in zip(self.edges, self.tensor.data[:, 0])}
 
 
 @dataclass
@@ -64,7 +62,6 @@ class PooledGraph:
     """Cluster-level digraph; may contain 2-cycles even when the input is a DAG."""
 
     adjacency: np.ndarray
-    features: np.ndarray
     num_nodes: int = field(init=False)
 
     def __post_init__(self):
@@ -132,38 +129,18 @@ def parse_clusters(retained, graph) -> AssignMatrix:
     ascending minimum member node id, so the result is independent of the
     order in which retained edges are supplied.
     """
-    n = graph.num_nodes
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in retained:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # keep the smaller id as root so min-member ordering is direct
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    roots = [find(v) for v in range(n)]
-    ordering = {r: i for i, r in enumerate(sorted(set(roots)))}
-    membership = np.array([ordering[r] for r in roots], dtype=np.intp)
-    return AssignMatrix(membership, len(ordering))
+    return AssignMatrix(*components(graph.num_nodes, retained))
 
 
-def pool(assign: AssignMatrix, adjacency: np.ndarray, z: np.ndarray) -> PooledGraph:
-    """Contract clusters: lifted adjacency (binarized, zero diagonal) and
-    summed feature rows."""
-    x = assign.matrix
-    lifted = x.T @ np.asarray(adjacency, dtype=np.float64) @ x
-    np.fill_diagonal(lifted, 0.0)
-    pooled_adj = (lifted > 0).astype(np.float64)
-    features = x.T @ np.asarray(z, dtype=np.float64)
-    return PooledGraph(pooled_adj, features)
+def pool(assign: AssignMatrix, adjacency: np.ndarray) -> PooledGraph:
+    """Contract clusters: every edge (u, v) lifts to the cluster pair
+    (m[u], m[v]); the result is binary with a zero diagonal."""
+    m = assign.membership
+    rows, cols = np.nonzero(adjacency)
+    pooled_adj = np.zeros((assign.num_clusters, assign.num_clusters))
+    pooled_adj[m[rows], m[cols]] = 1.0
+    np.fill_diagonal(pooled_adj, 0.0)
+    return PooledGraph(pooled_adj)
 
 
 def pool_features(tape: Tape, z: Tensor, assign: AssignMatrix) -> Tensor:

@@ -69,9 +69,13 @@ class CostModel:
 
 
 def load_cost_model(path: str | Path) -> CostModel:
+    """Read a cost model JSON file: {"compute": [[...]], "transfer": [[...]]}."""
     with open(path) as fh:
         data = json.load(fh)
-    return CostModel(np.asarray(data["compute"]), np.asarray(data["transfer"]))
+    try:
+        return CostModel(np.asarray(data["compute"]), np.asarray(data["transfer"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed cost model file {path}: {exc}") from exc
 
 
 def save_cost_model(cm: CostModel, path: str | Path) -> None:

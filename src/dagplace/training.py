@@ -63,7 +63,6 @@ class ModelConfig:
     layer_parsingnet: int = 2
     dropout_network: float = 0.2
     dropout_parsing: float = 0.0
-    link_ignore_self_loop: bool = True
 
     def __post_init__(self):
         for name in ("hidden_channel", "layer_gnn", "layer_trans", "layer_parsingnet"):
@@ -72,10 +71,6 @@ class ModelConfig:
         for name in ("dropout_network", "dropout_parsing"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if not self.link_ignore_self_loop:
-            # pooling always zeroes the coarse diagonal, so scored edge sets
-            # never contain self-loops; scoring them is not supported
-            raise ValueError("link_ignore_self_loop=False is not supported")
 
 
 @dataclass(frozen=True)
@@ -140,8 +135,17 @@ class TrainResult:
     two_cycle_pairs: int
 
 
-def _identity_assign(n: int) -> AssignMatrix:
-    return AssignMatrix(np.arange(n, dtype=np.intp), n)
+@dataclass(frozen=True)
+class _Level:
+    """What one coarsening level computes; `collapsed` means one cluster or
+    no edges left to parse, so the cascade cannot go on."""
+
+    norm: np.ndarray
+    assign: AssignMatrix
+    pooled: PooledGraph
+    zp: Tensor
+    dist: Tensor
+    collapsed: bool
 
 
 class Trainer:
@@ -197,10 +201,10 @@ class Trainer:
         self.best_latency = float("inf")
         self.two_cycle_pairs = 0
 
-        self.state_adjacency = graph.adjacency()
-        self.state_features = self.x0.values
-        self.state_projects = True
-        self.composed = _identity_assign(graph.num_nodes)
+        # the original level, built once and shared by every restart
+        self.adjacency0 = graph.adjacency()
+        self.identity = AssignMatrix(np.arange(graph.num_nodes), graph.num_nodes)
+        self._enter(self.adjacency0, self.x0.values, True, self.identity)
 
     def parameters(self):
         return [
@@ -224,38 +228,59 @@ class Trainer:
         rms = float(np.sqrt(np.mean(np.square(carried))))
         if rms > 0.0:
             carried /= rms
-        self.state_adjacency = self.graph.adjacency()
-        self.state_features = carried
-        self.state_projects = False
-        self.composed = _identity_assign(self.graph.num_nodes)
+        self._enter(self.adjacency0, carried, False, self.identity)
+
+    def _enter(self, adjacency, features, projects: bool, composed: AssignMatrix):
+        """Make the given level the state the next step parses."""
+        self.state_adjacency = adjacency
+        self.state_features = features
+        self.state_projects = projects
+        self.composed = composed
+
+    def _encode(self, tape: Tape, features, projects: bool, norm, rng) -> Tensor:
+        """Input projection (original features only), then the GCN; dropout
+        masks are drawn from `rng` when one is given."""
+        x = Tensor(features)
+        h = mlp_forward(tape, x, self.projection) if projects else x
+        dropout = self.model.dropout_network
+        return encode(tape, h, norm, self.gcn, dropout=dropout, rng=rng)
+
+    def _distribution(self, tape: Tape, z: Tensor, assign) -> tuple[Tensor, Tensor]:
+        """Pooled cluster embeddings and their device distribution."""
+        zp = pool_features(tape, z, assign)
+        return zp, device_distribution(tape, zp, self.placer)
+
+    def _level(
+        self, tape: Tape, adjacency, features, projects: bool, training: bool
+    ) -> _Level:
+        """Encode one level, parse its scored edges into clusters, pool, and
+        give every cluster a device distribution. Training draws dropout
+        masks and drops edges; evaluation does neither."""
+        norm = normalize_adjacency(adjacency)
+        rng = self.dropout_rng if training else None
+        z = self._encode(tape, features, projects, norm, rng)
+        view = PooledGraph(adjacency)
+        scores = score_edges(tape, z, view, self.phi)
+        if training:
+            scores = drop_edges(scores, self.model.dropout_parsing, self.parsing_rng)
+        assign = parse_clusters(retain_dominant_edges(scores, view), view)
+        pooled = pool(assign, adjacency)
+        zp, dist = self._distribution(tape, z, assign)
+        collapsed = assign.num_clusters == 1 or not pooled.adjacency.any()
+        return _Level(norm, assign, pooled, zp, dist, collapsed)
 
     def step(self) -> StepRecord:
         """One parse/place/simulate interaction; appends to the buffer."""
         tape = Tape()
-        norm = normalize_adjacency(self.state_adjacency)
-        x = Tensor(self.state_features)
-        h = mlp_forward(tape, x, self.projection) if self.state_projects else x
-        z = encode(
-            tape, h, norm, self.gcn,
-            dropout=self.model.dropout_network, rng=self.dropout_rng,
-        )
-        view = PooledGraph(self.state_adjacency, self.state_features)
-        scores = drop_edges(
-            score_edges(tape, z, view, self.phi),
-            self.model.dropout_parsing,
-            self.parsing_rng,
-        )
-        assign = parse_clusters(retain_dominant_edges(scores, view), view)
-        pooled = pool(assign, self.state_adjacency, z.data)
-        zp = pool_features(tape, z, assign)
-        dist = device_distribution(tape, zp, self.placer)
-        action, log_prob = sample_placement(tape, dist, self.action_rng)
-        composed = self.composed.compose(assign)
+        state = (self.state_adjacency, self.state_features, self.state_projects)
+        level = self._level(tape, *state, training=True)
+        action, log_prob = sample_placement(tape, level.dist, self.action_rng)
+        composed = self.composed.compose(level.assign)
         placement = lift_placement(action, composed)
         latency = simulate(self.graph, placement, self.cm, self.topo)
 
-        self.z_acc += zp.data[composed.membership]
-        self.two_cycle_pairs += pooled.two_cycle_pairs()
+        self.z_acc += level.zp.data[composed.membership]
+        self.two_cycle_pairs += level.pooled.two_cycle_pairs()
         if latency < self.best_latency:
             self.best_latency = latency
             self.best_placement = placement.copy()
@@ -265,23 +290,19 @@ class Trainer:
             log_prob=float(log_prob.data[0, 0]),
             reward=reward(latency),
             latency=latency,
-            num_clusters=assign.num_clusters,
-            norm=norm,
+            num_clusters=level.assign.num_clusters,
+            norm=level.norm,
             features=np.array(self.state_features, copy=True),
             use_projection=self.state_projects,
-            assign=assign,
+            assign=level.assign,
             action=action,
         )
         self.buffer.append(record)
 
-        if assign.num_clusters == 1 or not pooled.adjacency.any():
-            # fully collapsed (or no edges left to parse): restart
+        if level.collapsed:
             self._reset_to_original()
         else:
-            self.state_adjacency = pooled.adjacency
-            self.state_features = zp.data.copy()
-            self.state_projects = False
-            self.composed = composed
+            self._enter(level.pooled.adjacency, level.zp.data.copy(), False, composed)
         return record
 
     def surrogate_loss(self, tape: Tape, records: list[StepRecord]) -> Tensor:
@@ -296,14 +317,10 @@ class Trainer:
         )
         loss: Tensor | None = None
         for rec in records:
-            x = Tensor(rec.features)
-            h = mlp_forward(tape, x, self.projection) if rec.use_projection else x
-            z = encode(
-                tape, h, rec.norm, self.gcn,
-                dropout=self.model.dropout_network, rng=self.dropout_rng,
+            z = self._encode(
+                tape, rec.features, rec.use_projection, rec.norm, self.dropout_rng
             )
-            zp = pool_features(tape, z, rec.assign)
-            dist = device_distribution(tape, zp, self.placer)
+            _, dist = self._distribution(tape, z, rec.assign)
             lp = log_prob_of(tape, dist, rec.action)
             weight = self.cfg.gamma ** rec.step_index * (rec.reward - baseline)
             term = tape.scale(lp, -weight)
@@ -359,34 +376,21 @@ class Trainer:
         """Deterministic cascade: from the original graph, repeatedly parse
         and take the argmax device per cluster, keeping the best simulated
         placement across coarsening levels. Leaves trainer state untouched."""
-        adjacency = self.graph.adjacency()
-        features = self.x0.values
-        projects = True
-        composed = _identity_assign(self.graph.num_nodes)
+        adjacency, features, projects = self.adjacency0, self.x0.values, True
+        composed = self.identity
         best: np.ndarray | None = None
         best_latency = float("inf")
         for _ in range(self.graph.num_nodes):
-            tape = Tape()
-            x = Tensor(features)
-            h = mlp_forward(tape, x, self.projection) if projects else x
-            z = encode(tape, h, normalize_adjacency(adjacency), self.gcn)
-            view = PooledGraph(adjacency, features)
-            scores = score_edges(tape, z, view, self.phi)
-            assign = parse_clusters(retain_dominant_edges(scores, view), view)
-            pooled = pool(assign, adjacency, z.data)
-            zp = pool_features(tape, z, assign)
-            dist = device_distribution(tape, zp, self.placer)
-            composed = composed.compose(assign)
-            placement = lift_placement(greedy_placement(dist.data), composed)
+            level = self._level(Tape(), adjacency, features, projects, training=False)
+            composed = composed.compose(level.assign)
+            placement = lift_placement(greedy_placement(level.dist.data), composed)
             latency = simulate(self.graph, placement, self.cm, self.topo)
             if latency < best_latency:
                 best_latency = latency
                 best = placement
-            if assign.num_clusters == 1 or not pooled.adjacency.any():
+            if level.collapsed:
                 break
-            adjacency = pooled.adjacency
-            features = zp.data
-            projects = False
+            adjacency, features, projects = level.pooled.adjacency, level.zp.data, False
         assert best is not None
         return best, best_latency
 

@@ -130,6 +130,33 @@ def test_baselines_random_is_seeded(tmp_path, split_files):
     assert (a / "baselines.csv").read_bytes() == (b / "baselines.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, reason",
+    [
+        ("all-zero", "latency"),
+        ("one-device", "fewer than 2 devices"),
+        ("no-transfer", "transfer"),
+    ],
+)
+def test_degenerate_cost_model_is_a_usage_error(tmp_path, capsys, split_files, kind, reason):
+    graph_path, good_path = split_files
+    types = load_cost_model(good_path).num_op_types
+    data = {
+        "all-zero": {"compute": [[0.0, 0.0]] * types, "transfer": [[0.0, 0.0], [0.0, 0.0]]},
+        "one-device": {"compute": [[1.0]] * types, "transfer": [[0.0]]},
+        "no-transfer": {"compute": [[1.0, 1.0]] * types},
+    }[kind]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(data))
+    for command in (["baselines"], ["train", *TRAIN_FLAGS]):
+        code = main([*command, "--graph", graph_path, "--cost-model", str(bad),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err and reason in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_train_writes_artifacts(tmp_path, capsys, dominant_files):
     graph_path, cm_path = dominant_files
     out = tmp_path / "run"

@@ -6,7 +6,6 @@ from dagplace.encoder import (
     init_gcn,
     init_projection,
     normalize_adjacency,
-    project,
 )
 from dagplace.fixtures import random_dag
 from dagplace.graph import make_graph
@@ -116,10 +115,3 @@ def test_encode_dropout_reproducible_and_optional():
     d = encode(Tape(), x, norm, gcn)
     assert np.array_equal(c.data, d.data)
     assert not np.array_equal(a.data, d.data)
-
-
-def test_project_output_width():
-    rng = np.random.default_rng(2)
-    proj = init_projection(rng, 11, 6, layers=2)
-    out = project(Tape(), Tensor(rng.normal(size=(3, 11))), proj)
-    assert out.shape == (3, 6)

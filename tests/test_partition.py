@@ -79,7 +79,7 @@ def test_score_edges_matches_manual_formula():
     phi = init_mlp(rng, [4, 1])
     g = FakeGraph(5, [(0, 3), (2, 4)])
     scores = score_edges(Tape(), z, g, phi)
-    for (u, v), got in scores.as_dict().items():
+    for (u, v), got in zip(scores.edges, scores.tensor.data[:, 0]):
         raw = (z.data[u] * z.data[v]) @ phi.weights[0].data + phi.biases[0].data
         assert got == pytest.approx(1.0 / (1.0 + np.exp(-raw[0, 0])), abs=1e-12)
 
@@ -166,27 +166,23 @@ def test_parse_clusters_order_invariant():
 
 
 def test_pool_identity_assignment(diamond):
-    z = np.arange(8.0).reshape(4, 2)
     assign = AssignMatrix(np.arange(4), 4)
-    pooled = pool(assign, diamond.adjacency(), z)
+    pooled = pool(assign, diamond.adjacency())
     assert np.array_equal(pooled.adjacency, diamond.adjacency())
-    assert np.array_equal(pooled.features, z)
     assert pooled.num_nodes == 4
 
 
 def test_pool_contracts_diamond(diamond):
-    z = np.ones((4, 3))
     assign = AssignMatrix(np.array([0, 0, 1, 1]), 2)
-    pooled = pool(assign, diamond.adjacency(), z)
+    pooled = pool(assign, diamond.adjacency())
     # edges 0->2 (via 0->2) and 0->1 internal, 1->3 and 2->3 cross/internal
     assert np.array_equal(pooled.adjacency, [[0, 1], [0, 0]])
-    assert np.array_equal(pooled.features, [[2, 2, 2], [2, 2, 2]])
 
 
 def test_pool_zeroes_diagonal_and_binarizes():
     a = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
     assign = AssignMatrix(np.array([0, 0, 1]), 2)
-    pooled = pool(assign, a, np.zeros((3, 1)))
+    pooled = pool(assign, a)
     # two node-level edges map to the same coarse edge; internal edge vanishes
     assert np.array_equal(pooled.adjacency, [[0, 1], [0, 0]])
 
@@ -203,7 +199,7 @@ def test_pool_matches_cluster_pair_scan():
                   if i < j and membership[i] == membership[j]),
             g,
         )
-        pooled = pool(assign, g.adjacency(), rng.normal(size=(14, 3)))
+        pooled = pool(assign, g.adjacency())
         assert np.array_equal(
             pooled.adjacency, pooled_adjacency_oracle(assign, g.adjacency())
         )
@@ -213,21 +209,21 @@ def test_pool_can_create_two_cycles():
     # chain 0->1->2 with clusters {0,2} and {1} pools to a mutual pair
     a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
     assign = AssignMatrix(np.array([0, 1, 0]), 2)
-    pooled = pool(assign, a, np.zeros((3, 1)))
+    pooled = pool(assign, a)
     assert np.array_equal(pooled.adjacency, [[0, 1], [1, 0]])
     assert pooled.two_cycle_pairs() == 1
 
 
 def test_two_cycle_pairs_counts_unordered_pairs():
-    assert PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1))).two_cycle_pairs() == 1
+    assert PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]])).two_cycle_pairs() == 1
     three = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
-    assert PooledGraph(three, np.zeros((3, 1))).two_cycle_pairs() == 2
+    assert PooledGraph(three).two_cycle_pairs() == 2
     dag = np.array([[0, 1], [0, 0]], dtype=float)
-    assert PooledGraph(dag, np.zeros((2, 1))).two_cycle_pairs() == 0
+    assert PooledGraph(dag).two_cycle_pairs() == 0
 
 
 def test_pooled_graph_edges_property():
-    pg = PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 1)))
+    pg = PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert set(pg.edges) == {(0, 1), (1, 0)}
 
 

@@ -60,8 +60,6 @@ def test_model_config_validation():
         ModelConfig(dropout_network=1.0)
     with pytest.raises(ValueError):
         ModelConfig(dropout_parsing=-0.1)
-    with pytest.raises(ValueError):
-        ModelConfig(link_ignore_self_loop=False)
 
 
 def test_trainer_rejects_bad_inputs():
@@ -302,3 +300,40 @@ def test_composed_membership_always_spans_original_nodes():
         tr.step()
         assert tr.composed.membership.shape == (10,)
         assert tr.composed.num_clusters >= 1
+
+
+# (step, episode, latency, reward, num_clusters) of the run below. A rewrite
+# of the training path must reproduce them; dropout and edge dropping are
+# both on, so every RNG stream and the update between the episodes take part
+GOLDEN_HISTORY = [
+    (1, 1, 3.75, 0.26666666666666666, 2),
+    (2, 1, 3.75, 0.26666666666666666, 1),
+    (3, 1, 6.0, 0.16666666666666666, 2),
+    (4, 1, 3.75, 0.26666666666666666, 1),
+    (5, 1, 4.75, 0.21052631578947367, 3),
+    (6, 1, 3.75, 0.26666666666666666, 2),
+    (7, 2, 3.75, 0.26666666666666666, 1),
+    (8, 2, 3.75, 0.26666666666666666, 1),
+    (9, 2, 4.25, 0.23529411764705882, 2),
+    (10, 2, 7.5, 0.13333333333333333, 1),
+    (11, 2, 4.25, 0.23529411764705882, 3),
+    (12, 2, 3.75, 0.26666666666666666, 1),
+]
+
+
+def test_history_matches_golden_rows():
+    g, cm = dominant_device_fixture()
+    result = Trainer(
+        g,
+        cm,
+        TrainConfig(max_episodes=2, update_timestep=6, seed=0),
+        ModelConfig(hidden_channel=8, dropout_parsing=0.3),
+        NARROW,
+    ).run()
+    assert len(result.history) == len(GOLDEN_HISTORY)
+    for row, (step, episode, latency, reward, clusters) in zip(
+        result.history, GOLDEN_HISTORY
+    ):
+        assert (row.step, row.episode, row.num_clusters) == (step, episode, clusters)
+        assert row.latency == pytest.approx(latency, rel=1e-12)
+        assert row.reward == pytest.approx(reward, rel=1e-12)
