@@ -2,7 +2,14 @@
 
 Forward calls go through a Tape, which records one entry per primitive and
 replays them in reverse on backward(). Only the primitives the encoder,
-edge scorer, and placement head need are provided; everything is 2-D.
+edge scorer, and placement head need are provided; everything is 2-D. The
+one sparse operand is a constant `SparseMatrix`, applied by `Tape.spmm`.
+
+Gradients are kept only on the gradient path: a primitive's backward skips
+inputs that do not require a gradient, only tensors created with
+`requires_grad` (parameters) hold a buffer up front, and an intermediate's
+gradient lives from the moment backward reaches it until its entry is
+replayed.
 """
 
 from __future__ import annotations
@@ -19,7 +26,10 @@ class NonScalarLoss(Exception):
 
 
 class Tensor:
-    """A (rows, cols) float64 value with a same-shape gradient buffer."""
+    """A (rows, cols) float64 value and its gradient.
+
+    `grad` is a same-shape buffer for tensors created with `requires_grad`
+    and None otherwise until backward reaches the tensor."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -31,14 +41,15 @@ class Tensor:
             raise ShapeMismatch(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr)
+        self.grad = np.zeros_like(arr) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -48,12 +59,70 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+class SparseMatrix:
+    """A constant n x n matrix: its diagonal plus distinct off-diagonal
+    entries weights[e] at (rows[e], cols[e]).
+
+    Products are segment sums. The entries are split into passes in which
+    no target row repeats, so each pass is one fancy-index `+=` (which adds
+    a repeated index only once); the passes for the product and for its
+    transpose are built here, once.
+    """
+
+    def __init__(
+        self, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+    ):
+        self.diag = np.asarray(diag, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        weights = np.asarray(weights, dtype=np.float64)
+        self._passes = _passes(rows, cols, weights)
+        self._transposed_passes = _passes(cols, rows, weights)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diag), len(self.diag))
+
+    @property
+    def nbytes(self) -> int:
+        passes = self._passes + self._transposed_passes
+        return self.diag.nbytes + sum(a.nbytes for p in passes for a in p)
+
+    def apply(self, h: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """self @ h, or self.T @ h."""
+        out = self.diag[:, None] * h
+        passes = self._transposed_passes if transpose else self._passes
+        for target, source, weight in passes:
+            out[target] += weight * h[source]
+        return out
+
+
+def _passes(target: np.ndarray, source: np.ndarray, weights: np.ndarray):
+    """Group entries into (target, source, weight column) passes with unique
+    targets: pass k holds every target's k-th entry in input order."""
+    if not len(target):
+        return []
+    by_target = np.argsort(target, kind="stable")
+    sorted_target = target[by_target]
+    first = np.searchsorted(sorted_target, sorted_target)
+    rank = np.empty(len(target), dtype=np.intp)
+    rank[by_target] = np.arange(len(target)) - first
+    by_rank = np.argsort(rank, kind="stable")
+    target, source, weights = target[by_rank], source[by_rank], weights[by_rank, None]
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    return [
+        (target[a:b], source[a:b], weights[a:b])
+        for a, b in zip([0] + ends[:-1], ends)
+    ]
+
+
 class Tape:
     """Records primitive applications and replays them in reverse.
 
     Each entry is (output, inputs, backward_fn); backward_fn maps the
-    upstream gradient to one gradient array per input. One tape serves one
-    forward/backward pair and is single-threaded.
+    upstream gradient to one gradient array per input, or None for an input
+    that does not require one. One tape serves one forward/backward pair
+    and is single-threaded.
     """
 
     def __init__(self):
@@ -76,9 +145,19 @@ class Tape:
         out = Tensor(a.data @ b.data)
 
         def back(g):
-            return g @ b.data.T, a.data.T @ g
+            return (
+                g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None,
+            )
 
         return self._record(out, (a, b), back)
+
+    def spmm(self, m: SparseMatrix, a: Tensor) -> Tensor:
+        """m @ a for a constant sparse m; the backward applies m.T."""
+        if m.shape[1] != a.shape[0]:
+            raise ShapeMismatch(f"spmm {m.shape} @ {a.shape}")
+        out = Tensor(m.apply(a.data))
+        return self._record(out, (a,), lambda g: (m.apply(g, transpose=True),))
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -97,7 +176,14 @@ class Tape:
         if a.shape != b.shape:
             raise ShapeMismatch(f"mul {a.shape} * {b.shape}")
         out = Tensor(a.data * b.data)
-        return self._record(out, (a, b), lambda g: (g * b.data, g * a.data))
+
+        def back(g):
+            return (
+                g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None,
+            )
+
+        return self._record(out, (a, b), back)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         out = Tensor(a.data * c)
@@ -169,15 +255,26 @@ class Tape:
     # backward -----------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d loss / d t into t.grad for every recorded tensor."""
+        """Accumulate d loss / d t into t.grad for every leaf that requires
+        a gradient. Recorded outputs hand their gradient on and end with
+        grad None; every gradient array belongs to one tensor only."""
         if loss.shape != (1, 1):
             raise NonScalarLoss(f"loss must be 1x1, got {loss.shape}")
-        loss.grad[...] = 1.0
+        loss.grad = np.ones((1, 1))
         for out, inputs, back in reversed(self._entries):
-            grads = back(out.grad)
-            for t, g in zip(inputs, grads):
-                if t.requires_grad:
-                    t.grad += g
+            g, out.grad = out.grad, None
+            if g is None:  # the loss does not depend on this output
+                continue
+            taken: list[np.ndarray] = []
+            for t, tg in zip(inputs, back(g)):
+                if not t.requires_grad:
+                    continue
+                if t.grad is not None:
+                    t.grad += tg
+                else:
+                    # a backward may hand one array to several inputs
+                    t.grad = tg.copy() if any(tg is x for x in taken) else tg
+                    taken.append(t.grad)
 
 
 class Adam:

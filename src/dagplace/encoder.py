@@ -2,8 +2,10 @@
 
 Embeddings come from stacked graph convolutions over the self-loop
 normalized adjacency: each layer computes relu(norm @ H @ W), with the
-final layer activated as well. An optional two-layer input projection maps
-raw feature rows to the hidden width before the first convolution.
+final layer activated as well. The adjacency is an edge list and `norm`
+a sparse operator, so a layer costs O(|V| + |E|) times the width. An
+optional two-layer input projection maps raw feature rows to the hidden
+width before the first convolution.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, parameter
+from .autograd import SparseMatrix, Tape, Tensor, parameter
 from .graph import CompGraph
 from .nn import Mlp, dropout_mask, glorot, init_mlp
+from .partition import PooledGraph
 
 
 @dataclass
@@ -37,23 +40,30 @@ def init_projection(rng: np.random.Generator, d_in: int, hidden: int, layers: in
     return init_mlp(rng, [d_in] + [hidden] * layers)
 
 
-def normalize_adjacency(graph: CompGraph | np.ndarray) -> np.ndarray:
-    """Self-loop normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
+def normalize_adjacency(graph: CompGraph | PooledGraph) -> SparseMatrix:
+    """Self-loop normalized adjacency D^{-1/2} (A + I) D^{-1/2}, sparse.
 
-    Degrees are row sums of A + I, applied to the directed adjacency as-is,
-    so D_ii >= 1 always holds. Accepts a graph or a dense 0/1 matrix
-    (pooled graphs may be cyclic, which is fine here).
+    Degrees are row sums of A + I (out-degree + 1), applied to the directed
+    adjacency as-is, so D_ii >= 1 always holds. Edge (u, v) weighs
+    D_uu^{-1/2} D_vv^{-1/2} and the self-loops form the diagonal 1 / D_ii.
+    Accepts a graph or a coarsening level (pooled levels may be cyclic,
+    which is fine here).
     """
-    a = graph.adjacency() if isinstance(graph, CompGraph) else np.asarray(graph, dtype=np.float64)
-    a_hat = a + np.eye(a.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+    level = graph if isinstance(graph, PooledGraph) else PooledGraph.of(graph)
+    degree = np.bincount(level.src, minlength=level.num_nodes) + 1.0
+    d_inv_sqrt = 1.0 / np.sqrt(degree)
+    return SparseMatrix(
+        d_inv_sqrt * d_inv_sqrt,
+        level.src,
+        level.dst,
+        d_inv_sqrt[level.src] * d_inv_sqrt[level.dst],
+    )
 
 
 def encode(
     tape: Tape,
     x: Tensor,
-    norm: np.ndarray,
+    norm: SparseMatrix,
     params: GcnParams,
     *,
     dropout: float = 0.0,
@@ -63,9 +73,8 @@ def encode(
 
     Dropout (training only: pass a generator) follows each layer.
     """
-    norm_t = Tensor(norm)
     h = x
     for w in params.layers:
-        h = tape.relu(tape.matmul(tape.matmul(norm_t, h), w))
+        h = tape.relu(tape.matmul(tape.spmm(norm, h), w))
         h = dropout_mask(tape, h, dropout, rng)
     return h

@@ -11,7 +11,6 @@ degree values present in that graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,22 +98,25 @@ def _one_hot_values(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _undirected_hop_distances(graph: CompGraph, v: int) -> dict[int, int]:
-    """BFS hop counts from v over the undirected version of the graph."""
-    nbrs: list[list[int]] = [[] for _ in range(graph.num_nodes)]
-    for a, b in graph.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    del dist[v]
-    return dist
+def _ball_sizes(graph: CompGraph, v: int) -> np.ndarray:
+    """N(v, r) for r = 1, 2, ..., the eccentricity of v: the number of other
+    nodes within r undirected hops, from one level-by-level BFS."""
+    nbrs = graph.undirected_neighbors
+    seen = bytearray(graph.num_nodes)
+    seen[v] = 1
+    frontier = [v]
+    level_sizes = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if nxt:
+            level_sizes.append(len(nxt))
+        frontier = nxt
+    return np.cumsum(level_sizes, dtype=np.int64)
 
 
 def fractal_dimension(graph: CompGraph, v: int) -> float:
@@ -125,16 +127,13 @@ def fractal_dimension(graph: CompGraph, v: int) -> float:
     nodes and N(v, r) counts nodes within distance r. Returns 0.0 when
     fewer than two distinct distances exist.
     """
-    dist = _undirected_hop_distances(graph, v)
-    if not dist:
+    counts = _ball_sizes(graph, v)
+    # BFS levels are contiguous, so the distinct distances are 1..len(counts)
+    if len(counts) < 2:
         return 0.0
-    radii = sorted(set(dist.values()))
-    if len(radii) < 2:
-        return 0.0
-    counts = [sum(1 for d in dist.values() if d <= r) for r in radii]
-    x = np.log(np.asarray(radii, dtype=np.float64))
-    y = np.log(np.asarray(counts, dtype=np.float64))
-    if len(radii) == 2:
+    x = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
+    y = np.log(counts.astype(np.float64))
+    if len(counts) == 2:
         # two-point fit degenerates to the exact slope
         return float((y[1] - y[0]) / (x[1] - x[0]))
     xc = x - x.mean()

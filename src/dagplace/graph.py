@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +51,13 @@ class OpNode:
     output_shape: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompGraph:
     """Directed acyclic operation graph.
 
     `num_op_types` is the size of the op-type vocabulary shared by the
-    graph collection; every node's op_type must be below it.
+    graph collection; every node's op_type must be below it. The graph is
+    immutable, so derived structures are computed once and cached.
     """
 
     nodes: tuple[OpNode, ...]
@@ -76,6 +78,15 @@ class CompGraph:
         for u, v in self.edges:
             a[u, v] = 1.0
         return a
+
+    @cached_property
+    def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors of every node when edge directions are ignored."""
+        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
     def successors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_nodes)]

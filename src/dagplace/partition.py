@@ -5,12 +5,12 @@ node retains only its single highest-scoring incident edge (counting both
 directions), and the weakly connected components of the retained edge set
 become the clusters. Pooling contracts clusters into super-nodes: each edge
 (u, v) lifts to the cluster pair (m[u], m[v]), and cluster features are the
-sums of member rows.
+sums of member rows. Every level is an edge list, never a dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,35 +46,41 @@ class AssignMatrix:
         ):
             raise ValueError("cluster ids must cover 0..num_clusters-1 exactly")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((len(self.membership), self.num_clusters), dtype=np.float64)
-        m[np.arange(len(self.membership)), self.membership] = 1.0
-        return m
-
     def compose(self, finer: "AssignMatrix") -> "AssignMatrix":
         """Map this assignment's source nodes through a further coarsening."""
         return AssignMatrix(finer.membership[self.membership], finer.num_clusters)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PooledGraph:
-    """Cluster-level digraph; may contain 2-cycles even when the input is a DAG."""
+    """One coarsening level: edge i runs src[i] -> dst[i], in row-major
+    (src, dst) order, with no repeats and no self-loops. Pooled levels may
+    contain 2-cycles even when the input is a DAG."""
 
-    adjacency: np.ndarray
-    num_nodes: int = field(init=False)
+    num_nodes: int
+    src: np.ndarray
+    dst: np.ndarray
 
-    def __post_init__(self):
-        self.num_nodes = self.adjacency.shape[0]
+    @classmethod
+    def of(cls, graph) -> "PooledGraph":
+        """The level of any graph with `num_nodes` and `edges`."""
+        pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+        return cls(graph.num_nodes, pairs[:, 0], pairs[:, 1])
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.src)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        rows, cols = np.nonzero(self.adjacency)
-        return tuple(zip(rows.tolist(), cols.tolist()))
+        return tuple(zip(self.src.tolist(), self.dst.tolist()))
 
     def two_cycle_pairs(self) -> int:
-        both = np.logical_and(self.adjacency > 0, self.adjacency.T > 0)
-        return int(np.triu(both, k=1).sum())
+        """Unordered node pairs joined by edges in both directions."""
+        n = self.num_nodes
+        up = self.src < self.dst
+        reversed_up = self.dst[up] * n + self.src[up]
+        return int(np.isin(reversed_up, self.src * n + self.dst).sum())
 
 
 def score_edges(tape: Tape, z: Tensor, graph, phi: Mlp) -> EdgeScores:
@@ -132,15 +138,14 @@ def parse_clusters(retained, graph) -> AssignMatrix:
     return AssignMatrix(*components(graph.num_nodes, retained))
 
 
-def pool(assign: AssignMatrix, adjacency: np.ndarray) -> PooledGraph:
+def pool(assign: AssignMatrix, graph: PooledGraph) -> PooledGraph:
     """Contract clusters: every edge (u, v) lifts to the cluster pair
-    (m[u], m[v]); the result is binary with a zero diagonal."""
-    m = assign.membership
-    rows, cols = np.nonzero(adjacency)
-    pooled_adj = np.zeros((assign.num_clusters, assign.num_clusters))
-    pooled_adj[m[rows], m[cols]] = 1.0
-    np.fill_diagonal(pooled_adj, 0.0)
-    return PooledGraph(pooled_adj)
+    (m[u], m[v]); pairs inside one cluster vanish and repeats merge."""
+    k = assign.num_clusters
+    src = assign.membership[graph.src]
+    dst = assign.membership[graph.dst]
+    keys = np.unique((src * k + dst)[src != dst])
+    return PooledGraph(k, keys // k, keys % k)
 
 
 def pool_features(tape: Tape, z: Tensor, assign: AssignMatrix) -> Tensor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Adam, Tape, Tensor
+from .autograd import Adam, SparseMatrix, Tape, Tensor
 from .encoder import (
     GcnParams,
     encode,
@@ -110,7 +110,7 @@ class StepRecord:
     reward: float
     latency: float
     num_clusters: int
-    norm: np.ndarray
+    norm: SparseMatrix
     features: np.ndarray
     use_projection: bool
     assign: AssignMatrix
@@ -140,7 +140,7 @@ class _Level:
     """What one coarsening level computes; `collapsed` means one cluster or
     no edges left to parse, so the cascade cannot go on."""
 
-    norm: np.ndarray
+    norm: SparseMatrix
     assign: AssignMatrix
     pooled: PooledGraph
     zp: Tensor
@@ -202,9 +202,9 @@ class Trainer:
         self.two_cycle_pairs = 0
 
         # the original level, built once and shared by every restart
-        self.adjacency0 = graph.adjacency()
+        self.level0 = PooledGraph.of(graph)
         self.identity = AssignMatrix(np.arange(graph.num_nodes), graph.num_nodes)
-        self._enter(self.adjacency0, self.x0.values, True, self.identity)
+        self._enter(self.level0, self.x0.values, True, self.identity)
 
     def parameters(self):
         return [
@@ -228,11 +228,11 @@ class Trainer:
         rms = float(np.sqrt(np.mean(np.square(carried))))
         if rms > 0.0:
             carried /= rms
-        self._enter(self.adjacency0, carried, False, self.identity)
+        self._enter(self.level0, carried, False, self.identity)
 
-    def _enter(self, adjacency, features, projects: bool, composed: AssignMatrix):
+    def _enter(self, level: PooledGraph, features, projects: bool, composed):
         """Make the given level the state the next step parses."""
-        self.state_adjacency = adjacency
+        self.state_level = level
         self.state_features = features
         self.state_projects = projects
         self.composed = composed
@@ -251,28 +251,27 @@ class Trainer:
         return zp, device_distribution(tape, zp, self.placer)
 
     def _level(
-        self, tape: Tape, adjacency, features, projects: bool, training: bool
+        self, tape: Tape, level: PooledGraph, features, projects: bool, training: bool
     ) -> _Level:
         """Encode one level, parse its scored edges into clusters, pool, and
         give every cluster a device distribution. Training draws dropout
         masks and drops edges; evaluation does neither."""
-        norm = normalize_adjacency(adjacency)
+        norm = normalize_adjacency(level)
         rng = self.dropout_rng if training else None
         z = self._encode(tape, features, projects, norm, rng)
-        view = PooledGraph(adjacency)
-        scores = score_edges(tape, z, view, self.phi)
+        scores = score_edges(tape, z, level, self.phi)
         if training:
             scores = drop_edges(scores, self.model.dropout_parsing, self.parsing_rng)
-        assign = parse_clusters(retain_dominant_edges(scores, view), view)
-        pooled = pool(assign, adjacency)
+        assign = parse_clusters(retain_dominant_edges(scores, level), level)
+        pooled = pool(assign, level)
         zp, dist = self._distribution(tape, z, assign)
-        collapsed = assign.num_clusters == 1 or not pooled.adjacency.any()
+        collapsed = assign.num_clusters == 1 or pooled.num_edges == 0
         return _Level(norm, assign, pooled, zp, dist, collapsed)
 
     def step(self) -> StepRecord:
         """One parse/place/simulate interaction; appends to the buffer."""
         tape = Tape()
-        state = (self.state_adjacency, self.state_features, self.state_projects)
+        state = (self.state_level, self.state_features, self.state_projects)
         level = self._level(tape, *state, training=True)
         action, log_prob = sample_placement(tape, level.dist, self.action_rng)
         composed = self.composed.compose(level.assign)
@@ -302,7 +301,7 @@ class Trainer:
         if level.collapsed:
             self._reset_to_original()
         else:
-            self._enter(level.pooled.adjacency, level.zp.data.copy(), False, composed)
+            self._enter(level.pooled, level.zp.data.copy(), False, composed)
         return record
 
     def surrogate_loss(self, tape: Tape, records: list[StepRecord]) -> Tensor:
@@ -376,12 +375,12 @@ class Trainer:
         """Deterministic cascade: from the original graph, repeatedly parse
         and take the argmax device per cluster, keeping the best simulated
         placement across coarsening levels. Leaves trainer state untouched."""
-        adjacency, features, projects = self.adjacency0, self.x0.values, True
+        graph, features, projects = self.level0, self.x0.values, True
         composed = self.identity
         best: np.ndarray | None = None
         best_latency = float("inf")
         for _ in range(self.graph.num_nodes):
-            level = self._level(Tape(), adjacency, features, projects, training=False)
+            level = self._level(Tape(), graph, features, projects, training=False)
             composed = composed.compose(level.assign)
             placement = lift_placement(greedy_placement(level.dist.data), composed)
             latency = simulate(self.graph, placement, self.cm, self.topo)
@@ -390,7 +389,7 @@ class Trainer:
                 best = placement
             if level.collapsed:
                 break
-            adjacency, features, projects = level.pooled.adjacency, level.zp.data, False
+            graph, features, projects = level.pooled, level.zp.data, False
         assert best is not None
         return best, best_latency
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from dagplace.graph import CompGraph
+from dagplace.partition import PooledGraph
 
 
 def central_difference(f, tensors, h: float = 1e-5) -> list[np.ndarray]:
@@ -95,3 +96,30 @@ def pooled_adjacency_oracle(assign, adjacency) -> np.ndarray:
             if i != j and a[np.ix_(members[i], members[j])].any():
                 out[i, j] = 1.0
     return out
+
+
+def one_hot(assign) -> np.ndarray:
+    """Dense |V| x k membership matrix of an assignment."""
+    m = np.zeros((len(assign.membership), assign.num_clusters))
+    m[np.arange(len(assign.membership)), assign.membership] = 1.0
+    return m
+
+
+def dense_from_edges(level) -> np.ndarray:
+    """Dense 0/1 adjacency of an edge-list level (`num_nodes`, `src`, `dst`)."""
+    a = np.zeros((level.num_nodes, level.num_nodes))
+    a[level.src, level.dst] = 1.0
+    return a
+
+
+def level_from_dense(a):
+    """The edge-list level of a dense 0/1 adjacency (row-major order)."""
+    src, dst = np.nonzero(np.asarray(a))
+    return PooledGraph(len(a), src, dst)
+
+
+def dense_normalized(a) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} with D the row sums of A + I, densely."""
+    a_hat = np.asarray(a, dtype=np.float64) + np.eye(len(a))
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]

@@ -28,6 +28,7 @@ from dagplace.graph import colocate, make_graph, save_graph
 from dagplace.nn import init_mlp
 from dagplace.partition import (
     EdgeScores,
+    PooledGraph,
     parse_clusters,
     pool,
     retain_dominant_edges,
@@ -41,7 +42,9 @@ from helpers import (
     central_difference,
     fractal_dimension_oracle,
     longest_path_latency,
+    dense_from_edges,
     max_rel_err,
+    one_hot,
     pooled_adjacency_oracle,
 )
 
@@ -200,7 +203,7 @@ def test_partition_invariants(capsys):
             assert len(retained) <= graph.num_nodes
 
             assign = parse_clusters(retained, graph)
-            m = assign.matrix
+            m = one_hot(assign)
             assert np.array_equal(m.sum(axis=1), np.ones(graph.num_nodes))
             assert (m.sum(axis=0) >= 1.0).all()
             assert np.array_equal(
@@ -208,9 +211,10 @@ def test_partition_invariants(capsys):
             )
 
             rng.standard_normal((graph.num_nodes, 3))  # keeps later cases' draws
-            pooled = pool(assign, graph.adjacency())
+            pooled = pool(assign, PooledGraph.of(graph))
             assert np.array_equal(
-                pooled.adjacency, pooled_adjacency_oracle(assign, graph.adjacency())
+                dense_from_edges(pooled),
+                pooled_adjacency_oracle(assign, graph.adjacency()),
             )
 
         elapsed = time.monotonic() - start

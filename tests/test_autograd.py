@@ -7,6 +7,7 @@ from dagplace.autograd import (
     Adam,
     NonScalarLoss,
     ShapeMismatch,
+    SparseMatrix,
     Tape,
     Tensor,
     parameter,
@@ -56,6 +57,8 @@ def test_shape_mismatches():
         tape.add_bias(a, Tensor(np.ones((1, 2))))
     with pytest.raises(ShapeMismatch):
         tape.scatter_add_rows(a, [0], num_rows=2)
+    with pytest.raises(ShapeMismatch):
+        tape.spmm(SparseMatrix(np.ones(3), [0], [1], [1.0]), b)
 
 
 def test_gradient_accumulates_across_reuse():
@@ -130,6 +133,11 @@ def test_finite_differences_every_primitive():
     pos = parameter(rng.uniform(0.5, 2.0, size=(3, 4)))
     # keep relu inputs away from the kink so the finite difference is clean
     off = parameter(rng.normal(size=(3, 4)) + np.sign(rng.normal(size=(3, 4))) * 0.5)
+    # rows 0 and 2 and columns 1 and 2 repeat, so products and transposes
+    # take several passes
+    sparse = SparseMatrix(
+        rng.normal(size=3), [0, 0, 1, 2, 2], [1, 2, 2, 1, 0], rng.normal(size=5)
+    )
 
     cases = [
         ("matmul", lambda t: t.sum(t.matmul(a, b)), [a, b]),
@@ -149,11 +157,42 @@ def test_finite_differences_every_primitive():
             [a],
         ),
         ("clip", lambda t: t.sum(t.clip_min(pos, 0.9)), [pos]),
+        ("spmm", lambda t: t.sum(t.mul(t.spmm(sparse, a), c)), [a]),
     ]
     for name, build, params in cases:
         for p in params:
             p.zero_grad()
         _fd_case(name, build, params)
+
+
+def test_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(2)
+    w = parameter(rng.normal(size=(3, 2)))
+    x = Tensor(rng.normal(size=(4, 3)))
+    tape = Tape()
+    out = tape.matmul(x, w)
+    tape.backward(tape.sum(out))
+    assert x.grad is None
+    assert out.grad is None  # an intermediate's gradient is freed on replay
+    constant_grad = w.grad.copy()
+
+    w.zero_grad()
+    x_var = Tensor(x.data, requires_grad=True)
+    tape = Tape()
+    tape.backward(tape.sum(tape.matmul(x_var, w)))
+    assert np.array_equal(w.grad, constant_grad)
+    assert np.allclose(x_var.grad, np.ones((4, 2)) @ w.data.T)
+
+
+def test_gradient_arrays_never_alias():
+    a = Tensor([[1.0, 2.0]])
+    b = Tensor([[3.0, 4.0]])
+    a.requires_grad = b.requires_grad = True
+    tape = Tape()
+    tape.backward(tape.sum(tape.add(a, b)))
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.array_equal(b.grad, [[1.0, 1.0]])
 
 
 def test_finite_difference_composite_network():

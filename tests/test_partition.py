@@ -17,7 +17,14 @@ from dagplace.partition import (
     retain_dominant_edges,
     score_edges,
 )
-from helpers import central_difference, max_rel_err, pooled_adjacency_oracle
+from helpers import (
+    central_difference,
+    dense_from_edges,
+    level_from_dense,
+    max_rel_err,
+    one_hot,
+    pooled_adjacency_oracle,
+)
 
 
 def manual_scores(scored: dict[tuple[int, int], float]) -> EdgeScores:
@@ -47,7 +54,7 @@ def test_assign_matrix_validation():
 
 def test_assign_matrix_one_hot():
     assign = AssignMatrix(np.array([1, 0, 1]), 2)
-    assert np.array_equal(assign.matrix, [[0, 1], [1, 0], [0, 1]])
+    assert np.array_equal(one_hot(assign), [[0, 1], [1, 0], [0, 1]])
 
 
 def test_assign_compose():
@@ -167,24 +174,24 @@ def test_parse_clusters_order_invariant():
 
 def test_pool_identity_assignment(diamond):
     assign = AssignMatrix(np.arange(4), 4)
-    pooled = pool(assign, diamond.adjacency())
-    assert np.array_equal(pooled.adjacency, diamond.adjacency())
+    pooled = pool(assign, PooledGraph.of(diamond))
+    assert np.array_equal(dense_from_edges(pooled), diamond.adjacency())
     assert pooled.num_nodes == 4
 
 
 def test_pool_contracts_diamond(diamond):
     assign = AssignMatrix(np.array([0, 0, 1, 1]), 2)
-    pooled = pool(assign, diamond.adjacency())
+    pooled = pool(assign, PooledGraph.of(diamond))
     # edges 0->2 (via 0->2) and 0->1 internal, 1->3 and 2->3 cross/internal
-    assert np.array_equal(pooled.adjacency, [[0, 1], [0, 0]])
+    assert np.array_equal(dense_from_edges(pooled), [[0, 1], [0, 0]])
 
 
 def test_pool_zeroes_diagonal_and_binarizes():
     a = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
     assign = AssignMatrix(np.array([0, 0, 1]), 2)
-    pooled = pool(assign, a)
+    pooled = pool(assign, level_from_dense(a))
     # two node-level edges map to the same coarse edge; internal edge vanishes
-    assert np.array_equal(pooled.adjacency, [[0, 1], [0, 0]])
+    assert np.array_equal(dense_from_edges(pooled), [[0, 1], [0, 0]])
 
 
 def test_pool_matches_cluster_pair_scan():
@@ -199,32 +206,48 @@ def test_pool_matches_cluster_pair_scan():
                   if i < j and membership[i] == membership[j]),
             g,
         )
-        pooled = pool(assign, g.adjacency())
+        pooled = pool(assign, PooledGraph.of(g))
         assert np.array_equal(
-            pooled.adjacency, pooled_adjacency_oracle(assign, g.adjacency())
+            dense_from_edges(pooled), pooled_adjacency_oracle(assign, g.adjacency())
         )
+        keys = pooled.src * pooled.num_nodes + pooled.dst
+        assert (np.diff(keys) > 0).all()  # row-major order, no repeats
 
 
 def test_pool_can_create_two_cycles():
     # chain 0->1->2 with clusters {0,2} and {1} pools to a mutual pair
     a = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
     assign = AssignMatrix(np.array([0, 1, 0]), 2)
-    pooled = pool(assign, a)
-    assert np.array_equal(pooled.adjacency, [[0, 1], [1, 0]])
+    pooled = pool(assign, level_from_dense(a))
+    assert np.array_equal(dense_from_edges(pooled), [[0, 1], [1, 0]])
     assert pooled.two_cycle_pairs() == 1
 
 
 def test_two_cycle_pairs_counts_unordered_pairs():
-    assert PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]])).two_cycle_pairs() == 1
+    assert level_from_dense([[0.0, 1.0], [1.0, 0.0]]).two_cycle_pairs() == 1
     three = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
-    assert PooledGraph(three).two_cycle_pairs() == 2
+    assert level_from_dense(three).two_cycle_pairs() == 2
     dag = np.array([[0, 1], [0, 0]], dtype=float)
-    assert PooledGraph(dag).two_cycle_pairs() == 0
+    assert level_from_dense(dag).two_cycle_pairs() == 0
+    edgeless = PooledGraph(3, np.zeros(0, np.intp), np.zeros(0, np.intp))
+    assert edgeless.two_cycle_pairs() == 0
+
+
+def test_two_cycle_pairs_matches_dense_count():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a = np.triu(rng.random((9, 9)) < 0.4, k=1) | (rng.random((9, 9)) < 0.15)
+        np.fill_diagonal(a, False)
+        both = np.logical_and(a, a.T)
+        assert level_from_dense(a).two_cycle_pairs() == int(np.triu(both, k=1).sum())
 
 
 def test_pooled_graph_edges_property():
-    pg = PooledGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert set(pg.edges) == {(0, 1), (1, 0)}
+    pg = PooledGraph(2, np.array([0, 1]), np.array([1, 0]))
+    assert pg.edges == ((0, 1), (1, 0))
+    assert PooledGraph.of(FakeGraph(3, [(2, 0), (0, 2), (0, 1)])).edges == (
+        (0, 1), (0, 2), (2, 0)
+    )
 
 
 def test_pool_features_matches_matrix_product():
@@ -232,7 +255,7 @@ def test_pool_features_matches_matrix_product():
     z = Tensor(rng.normal(size=(6, 4)))
     assign = AssignMatrix(np.array([0, 1, 0, 2, 1, 2]), 3)
     zp = pool_features(Tape(), z, assign)
-    assert np.allclose(zp.data, assign.matrix.T @ z.data, atol=1e-14)
+    assert np.allclose(zp.data, one_hot(assign).T @ z.data, atol=1e-14)
 
 
 def test_pool_features_gradient_flows_to_members():

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dagplace.autograd import Tape, Tensor
 from dagplace.encoder import encode
 from dagplace.features import FeatureConfig
-from dagplace.fixtures import dominant_device_fixture, split_fixture
+from dagplace.fixtures import (
+    dominant_device_fixture,
+    random_cost_model,
+    random_dag,
+    split_fixture,
+)
 from dagplace.graph import make_graph
 from dagplace.nn import mlp_forward
 from dagplace.partition import pool_features
@@ -111,7 +118,7 @@ def test_collapse_resets_with_normalized_carryover():
     # the only edge is retained from both endpoints, so the state collapses
     assert rec.num_clusters == 1
     assert tr.state_projects is False
-    assert np.array_equal(tr.state_adjacency, g.adjacency())
+    assert tr.state_level is tr.level0
     rms = np.sqrt(np.mean(np.square(tr.state_features)))
     assert rms == pytest.approx(1.0)
 
@@ -337,3 +344,28 @@ def test_history_matches_golden_rows():
         assert (row.step, row.episode, row.num_clusters) == (step, episode, clusters)
         assert row.latency == pytest.approx(latency, rel=1e-12)
         assert row.reward == pytest.approx(reward, rel=1e-12)
+
+
+def _step_and_update_peak_bytes(n: int) -> int:
+    g = random_dag(n, seed=0)
+    cm = random_cost_model(g.num_op_types, 2, seed=0)
+    tr = Trainer(g, cm, TrainConfig(update_timestep=1, k_epochs=1), SMALL, NARROW)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = tr.step()
+        tr.update()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the diagonal plus, per edge, two indices and a weight in each of the
+    # operator's two pass schedules (product and transpose)
+    assert rec.norm.nbytes <= 8 * (g.num_nodes + 6 * g.num_edges)
+    return peak
+
+
+def test_step_and_update_memory_is_linear_in_graph_size():
+    """Peak allocation of one step plus one update at n and 2n nodes grows
+    about 2x on edge lists; one dense n x n matrix would make it about 4x."""
+    small, large = (_step_and_update_peak_bytes(n) for n in (400, 800))
+    assert large < 3 * small, (small, large)
