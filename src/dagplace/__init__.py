@@ -28,6 +28,7 @@ from .simulator import (
     reward,
     save_cost_model,
     simulate,
+    simulate_many,
     speedup,
 )
 from .training import (
@@ -64,6 +65,7 @@ __all__ = [
     "save_cost_model",
     "save_graph",
     "simulate",
+    "simulate_many",
     "speedup",
     "topo_sort",
     "train",

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class RunConfig:
     """Fully resolved settings for `train`.
 
     Precedence: built-in defaults, then the JSON config file, then flags.
-    Unknown keys in the file are rejected.
+    Unknown keys in the file are rejected, and a value of the wrong type
+    raises TypeError.
     """
 
     graph: str | None = None
@@ -68,6 +70,19 @@ class RunConfig:
     d_pos: int = 16
     pe_base: float = 10000.0
 
+    def __post_init__(self):
+        for name, hint in get_type_hints(RunConfig).items():
+            allowed = get_args(hint) or (hint,)
+            if float in allowed:
+                allowed += (int,)  # a hand-written file may say 0 for 0.0
+            value = getattr(self, name)
+            # bool subclasses int, but a JSON true is not a number
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
@@ -85,7 +100,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    cfg = RunConfig(**values)
+    try:
+        cfg = RunConfig(**values)
+    except TypeError as exc:
+        raise ValueError(f"malformed config file {args.config}: {exc}") from exc
     if cfg.graph is None or cfg.cost_model is None:
         raise ValueError("graph and cost_model must be set via flags or config file")
     return cfg
@@ -323,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "stats":
             return cmd_stats(args.graph)
         return cmd_gen_fixture(args)
-    except (OSError, GraphError, MissingCost, ValueError, TypeError, KeyError) as exc:
+    except (OSError, GraphError, MissingCost, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

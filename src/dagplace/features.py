@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CompGraph, topo_sort
+from .graph import CompGraph
 
 
 class TypeIndexOutOfRange(Exception):
@@ -175,7 +175,7 @@ def build_features(graph: CompGraph, cfg: FeatureConfig) -> FeatureMatrix:
         [[fractal_dimension(graph, v)] for v in range(graph.num_nodes)],
         dtype=np.float64,
     ).reshape(graph.num_nodes, 1)
-    rank = topo_sort(graph).rank
+    rank = graph.plan.topo.rank
     pos = np.vstack(
         [positional_encoding(rank[v], cfg) for v in range(graph.num_nodes)]
     ) if graph.num_nodes else np.zeros((0, cfg.d_pos))

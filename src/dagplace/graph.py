@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -88,6 +89,19 @@ class CompGraph:
             nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
 
+    @cached_property
+    def plan(self) -> SimulationPlan:
+        """The topological order and what the latency simulator reads;
+        raises CycleDetected on cyclic input."""
+        ops = tuple(node.op_type for node in self.nodes)
+        return SimulationPlan(
+            topo=topo_sort(self),
+            preds=tuple(map(tuple, self.predecessors())),
+            volumes=tuple(volume(node.output_shape) for node in self.nodes),
+            op_types=ops,
+            op_range=(min(ops, default=0), max(ops, default=0)),
+        )
+
     def successors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for u, v in self.edges:
@@ -155,7 +169,12 @@ def validate(graph: CompGraph) -> None:
         if (u, v) in seen:
             raise DuplicateEdge(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    topo_sort(graph)  # raises CycleDetected on cyclic input
+    graph.plan  # raises CycleDetected on cyclic input
+
+
+def volume(shape: tuple[int, ...]) -> float:
+    """Tensor element count; empty shapes count as one unit."""
+    return float(math.prod(shape)) if shape else 1.0
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,21 @@ class TopoOrder:
             for pos, v in enumerate(self.order):
                 r[v] = pos
             object.__setattr__(self, "rank", tuple(r))
+
+
+@dataclass(frozen=True)
+class SimulationPlan:
+    """Per-graph inputs of the latency kernels, built once and cached as
+    `CompGraph.plan`: the topological order, each node's predecessors in
+    edge order, each node's output volume (what it sends along every
+    out-edge), and each node's op type with the (min, max) of all of them,
+    so a cost model's coverage is checked without a pass over the nodes."""
+
+    topo: TopoOrder
+    preds: tuple[tuple[int, ...], ...]
+    volumes: tuple[float, ...]
+    op_types: tuple[int, ...]
+    op_range: tuple[int, int]
 
 
 def topo_sort(graph: CompGraph) -> TopoOrder:
@@ -248,7 +282,7 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     coarse id; coarse ids are numbered by ascending minimum member id.
     """
     n = graph.num_nodes
-    order = topo_sort(graph)
+    order = graph.plan.topo
     out_deg = graph.out_degrees()
     in_deg = graph.in_degrees()
     succ = graph.successors()

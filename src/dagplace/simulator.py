@@ -9,15 +9,13 @@ optimal-placement search used as a verification oracle at small sizes.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import CompGraph, TopoOrder, topo_sort
+from .graph import CompGraph, SimulationPlan, volume  # volume stays importable from here
 
 
 class MissingCost(Exception):
@@ -33,6 +31,9 @@ class TooLarge(Exception):
 
 
 BRUTE_FORCE_LIMIT = 2**24  # max placements enumerated by brute_force_optimal
+# placements per simulate_many call in brute_force_optimal: its [n, K]
+# working arrays stay within a few MB up to the guard's 24 nodes
+SEARCH_CHUNK = 4096
 
 
 @dataclass
@@ -85,47 +86,86 @@ def save_cost_model(cm: CostModel, path: str | Path) -> None:
         fh.write("\n")
 
 
-def volume(shape: tuple[int, ...]) -> float:
-    """Tensor element count; empty shapes count as one unit."""
-    return float(math.prod(shape)) if shape else 1.0
-
-
-def simulate(
-    graph: CompGraph,
-    placement,
-    cm: CostModel,
-    order: TopoOrder | None = None,
-) -> float:
+def simulate(graph: CompGraph, placement, cm: CostModel) -> float:
     """Critical-path latency of the placed graph, in seconds.
 
-    Pass a precomputed topological order to skip recomputing it in loops.
+    One placement: a scalar sweep over the graph's cached plan, in Python
+    lists, which beats a numpy sweep at this batch size.
     """
     placement = np.asarray(placement, dtype=np.intp)
     if placement.shape != (graph.num_nodes,):
         raise ValueError(
             f"placement covers {placement.shape} nodes, graph has {graph.num_nodes}"
         )
-    if order is None:
-        order = topo_sort(graph)
-    preds = graph.predecessors()
-    finish = np.zeros(graph.num_nodes)
+    plan = graph.plan
+    _check_costs(plan, placement[None], cm)
+    p = placement.tolist()
+    compute = cm.compute.tolist()
+    transfer = cm.transfer.tolist()
+    preds, vol, ops = plan.preds, plan.volumes, plan.op_types
+    finish = [0.0] * graph.num_nodes
     latency = 0.0
-    for v in order.order:
-        d = int(placement[v])
-        node = graph.nodes[v]
-        if not (0 <= node.op_type < cm.num_op_types and 0 <= d < cm.num_devices):
-            raise MissingCost(f"no cost for op_type {node.op_type} on device {d}")
+    for v in plan.topo.order:
+        d = p[v]
         start = 0.0
         for u in preds[v]:
-            arrival = finish[u] + cm.transfer[placement[u], d] * volume(
-                graph.nodes[u].output_shape
-            )
+            arrival = finish[u] + transfer[p[u]][d] * vol[u]
             if arrival > start:
                 start = arrival
-        finish[v] = start + cm.compute[node.op_type, d]
-        if finish[v] > latency:
-            latency = finish[v]
-    return float(latency)
+        f = finish[v] = start + compute[ops[v]][d]
+        if f > latency:
+            latency = f
+    return latency
+
+
+def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
+    """Critical-path latencies of K placements given as a [K, n] array.
+
+    One sweep of the cached topological order, vectorised across the K
+    placements, with the same float64 operations in the same order as
+    `simulate`, so each latency equals `simulate`'s exactly.
+    """
+    placements = np.asarray(placements, dtype=np.intp)
+    n = graph.num_nodes
+    if placements.ndim != 2 or placements.shape[1] != n:
+        raise ValueError(f"placements have shape {placements.shape}, expected (K, {n})")
+    plan = graph.plan
+    _check_costs(plan, placements, cm)
+    k, d = placements.shape[0], cm.num_devices
+    by_node = np.ascontiguousarray(placements.T)  # row v: each placement's device of v
+    pair_base = by_node * d  # row u: offset of u's device row in transfer.ravel()
+    # row u: the cost of sending u's output between each device pair
+    sent = cm.transfer.ravel() * np.array(plan.volumes)[:, None]
+    finish = np.zeros((n, k))
+    for v in plan.topo.order:
+        dv = by_node[v]
+        start = np.zeros(k)
+        for u in plan.preds[v]:
+            arrival = sent[u].take(pair_base[u] + dv)
+            arrival += finish[u]
+            np.maximum(start, arrival, out=start)
+        np.add(start, cm.compute[plan.op_types[v]].take(dv), out=finish[v])
+    return finish.max(axis=0, initial=0.0)
+
+
+def _check_costs(plan: SimulationPlan, placements: np.ndarray, cm: CostModel) -> None:
+    """Raise MissingCost where a placement-by-placement sweep would first
+    meet a node without a cost: the first placement that has one, at its
+    first such node in topological order."""
+    lo, hi = plan.op_range
+    if placements.size == 0 or (
+        lo >= 0
+        and hi < cm.num_op_types
+        and placements.min() >= 0
+        and placements.max() < cm.num_devices
+    ):
+        return
+    ops = np.array(plan.op_types, dtype=np.intp)
+    bad = (placements < 0) | (placements >= cm.num_devices)
+    bad |= (ops < 0) | (ops >= cm.num_op_types)
+    row = int(np.argmax(bad.any(axis=1)))
+    v = next(v for v in plan.topo.order if bad[row, v])
+    raise MissingCost(f"no cost for op_type {ops[v]} on device {placements[row, v]}")
 
 
 def reward(latency: float) -> float:
@@ -147,19 +187,28 @@ def brute_force_optimal(
 ) -> tuple[np.ndarray, float]:
     """Exhaustively search all placements; lexicographically smallest argmin.
 
+    Placement i is the n-digit base-d expansion of i, first node most
+    significant, so index order is lexicographic order; chunks of
+    SEARCH_CHUNK consecutive indices are scored with `simulate_many`.
     Guarded to num_devices**|V| <= 2**24 enumerated placements.
     """
     d = cm.num_devices if num_devices is None else num_devices
     n = graph.num_nodes
-    if d**n > BRUTE_FORCE_LIMIT:
+    total = d**n
+    if total > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{d}**{n} placements exceed the enumeration guard")
-    order = topo_sort(graph)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), 0.0  # the empty placement
     best_placement: np.ndarray | None = None
     best_latency = np.inf
-    for combo in itertools.product(range(d), repeat=n):
-        lat = simulate(graph, np.asarray(combo, dtype=np.intp), cm, order)
-        if lat < best_latency:
-            best_latency = lat
-            best_placement = np.asarray(combo, dtype=np.intp)
+    for lo in range(0, total, SEARCH_CHUNK):
+        index = np.arange(lo, min(lo + SEARCH_CHUNK, total))
+        # [n, K] digits, passed as the [K, n] view whose transpose is contiguous
+        chunk = np.array(np.unravel_index(index, (d,) * n), dtype=np.intp).T
+        latencies = simulate_many(graph, chunk, cm)
+        i = int(np.argmin(latencies))  # the first of equal minima
+        if latencies[i] < best_latency:
+            best_latency = latencies[i]
+            best_placement = chunk[i].copy()
     assert best_placement is not None
     return best_placement, float(best_latency)

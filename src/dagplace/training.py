@@ -26,7 +26,7 @@ from .encoder import (
     normalize_adjacency,
 )
 from .features import FeatureConfig, FeatureMatrix, build_features
-from .graph import CompGraph, topo_sort
+from .graph import CompGraph
 from .nn import init_mlp, mlp_forward
 from .partition import (
     AssignMatrix,
@@ -178,7 +178,6 @@ class Trainer:
         self.cm = cm
         self.cfg = cfg
         self.model = model
-        self.topo = topo_sort(graph)
         self.x0: FeatureMatrix = build_features(graph, features)
 
         streams = np.random.SeedSequence(cfg.seed).spawn(4)
@@ -276,7 +275,7 @@ class Trainer:
         action, log_prob = sample_placement(tape, level.dist, self.action_rng)
         composed = self.composed.compose(level.assign)
         placement = lift_placement(action, composed)
-        latency = simulate(self.graph, placement, self.cm, self.topo)
+        latency = simulate(self.graph, placement, self.cm)
 
         self.z_acc += level.zp.data[composed.membership]
         self.two_cycle_pairs += level.pooled.two_cycle_pairs()
@@ -383,7 +382,7 @@ class Trainer:
             level = self._level(Tape(), graph, features, projects, training=False)
             composed = composed.compose(level.assign)
             placement = lift_placement(greedy_placement(level.dist.data), composed)
-            latency = simulate(self.graph, placement, self.cm, self.topo)
+            latency = simulate(self.graph, placement, self.cm)
             if latency < best_latency:
                 best_latency = latency
                 best = placement

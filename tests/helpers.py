@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from dagplace.graph import CompGraph
@@ -63,6 +65,21 @@ def longest_path_latency(graph: CompGraph, placement, cm) -> float:
         return memo[v]
 
     return max((finish(v) for v in range(graph.num_nodes)), default=0.0)
+
+
+def product_optimal(graph: CompGraph, cm, num_devices: int | None = None):
+    """Reference exhaustive search: every placement in itertools.product
+    (lexicographic) order, one `simulate` call each, first strict minimum."""
+    from dagplace.simulator import simulate
+
+    d = cm.num_devices if num_devices is None else num_devices
+    best_placement, best_latency = None, np.inf
+    for combo in itertools.product(range(d), repeat=graph.num_nodes):
+        lat = simulate(graph, np.asarray(combo, dtype=np.intp), cm)
+        if lat < best_latency:
+            best_latency = lat
+            best_placement = np.asarray(combo, dtype=np.intp)
+    return best_placement, float(best_latency)
 
 
 def fractal_dimension_oracle(graph: CompGraph, v: int) -> float:

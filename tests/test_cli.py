@@ -269,6 +269,33 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_config_file_rejects_wrong_value_type(tmp_path, capsys, dominant_files):
+    graph_path, cm_path = dominant_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "graph": graph_path, "cost_model": cm_path, "max_episodes": "ten",
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cfg.json" in err and "max_episodes" in err
+    cfg_path.write_text(json.dumps({
+        "graph": graph_path, "cost_model": cm_path, "seed": True,
+    }))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_programming_error_in_a_command_exits_1(monkeypatch, capsys, split_files):
+    import dagplace.cli as cli
+
+    def broken(path):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    assert main(["stats", split_files[0]]) == 1
+    assert "unsupported operand" in capsys.readouterr().err
+
+
 def test_train_rejects_cyclic_graph(tmp_path, capsys, dominant_files):
     _, cm_path = dominant_files
     path = tmp_path / "cyclic.json"

@@ -9,9 +9,11 @@ from dagplace.fixtures import (
     random_dag,
     split_fixture,
 )
-from dagplace.graph import make_graph, topo_sort
+from dagplace import graph as graph_module
+from dagplace.graph import CompGraph, make_graph, topo_sort
 from dagplace.simulator import (
     BRUTE_FORCE_LIMIT,
+    SEARCH_CHUNK,
     CostModel,
     MissingCost,
     NonPositiveLatency,
@@ -21,10 +23,11 @@ from dagplace.simulator import (
     reward,
     save_cost_model,
     simulate,
+    simulate_many,
     speedup,
     volume,
 )
-from helpers import longest_path_latency
+from helpers import longest_path_latency, product_optimal
 
 
 def two_device_cm():
@@ -102,10 +105,22 @@ def test_simulate_parallel_branches_ignore_each_other():
     assert simulate(g, [0, 0, 1], cm) == 4.0
 
 
-def test_simulate_accepts_precomputed_order():
+def test_simulate_reuses_the_cached_order(monkeypatch):
     g, cm = split_fixture()
+    fresh = CompGraph(g.nodes, g.edges, g.num_op_types)  # nothing cached yet
+    calls = []
+
+    def counting_topo_sort(graph):
+        calls.append(graph)
+        return topo_sort(graph)
+
+    monkeypatch.setattr(graph_module, "topo_sort", counting_topo_sort)
     placement = np.zeros(10, dtype=np.intp)
-    assert simulate(g, placement, cm, topo_sort(g)) == simulate(g, placement, cm)
+    first = simulate(fresh, placement, cm)
+    assert len(calls) == 1
+    assert simulate(fresh, placement, cm) == first
+    assert simulate_many(fresh, placement[None], cm)[0] == first
+    assert len(calls) == 1
 
 
 def test_simulate_rejects_wrong_placement_length():
@@ -122,6 +137,57 @@ def test_simulate_missing_cost():
     g2 = make_graph([(0, 0, ())], [], num_op_types=1)
     with pytest.raises(MissingCost):
         simulate(g2, [3], cm)
+
+
+@pytest.mark.parametrize("kernel", [simulate, simulate_many])
+def test_missing_cost_names_the_first_uncosted_node(kernel):
+    """Both kernels report the node a per-node topological sweep meets first."""
+    cm = two_device_cm()  # op types 0..1, devices 0..1
+
+    def run(g, placement):
+        if kernel is simulate:
+            return simulate(g, placement, cm)
+        return simulate_many(g, [placement], cm)
+
+    # topological order 2, 0, 1
+    chain = make_graph([(0, 0, ()), (1, 1, ()), (2, 0, ())], [(2, 0), (0, 1)], 2)
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device 2$"):
+        run(chain, [2, 0, 0])
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device -1$"):
+        run(chain, [2, 0, -1])
+    typed = make_graph([(0, 0, ()), (1, 4, ()), (2, 3, ())], [(1, 0), (2, 1)], 5)
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 3 on device 0$"):
+        run(typed, [0, 0, 0])
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 3 on device 1$"):
+        run(typed, [0, 0, 1])
+    if kernel is simulate_many:  # the first placement that has an uncosted node
+        batch = [[0, 0, 0], [0, 1, 1], [0, 5, -1], [7, 0, 0]]
+        with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device -1$"):
+            simulate_many(chain, batch, cm)
+
+
+def test_simulate_many_equals_simulate():
+    rng = np.random.default_rng(5)
+    graphs = [random_dag(int(n), seed=s) for s, n in enumerate(rng.integers(2, 30, 20))]
+    graphs.append(make_graph([(v, v % 3, (v + 1,)) for v in range(6)], [], 3))  # edgeless
+    for trial, g in enumerate(graphs):
+        for d in (2, 3):
+            cm = random_cost_model(8, num_devices=d, seed=trial)
+            for k in (0, 1, 33):
+                placements = rng.integers(0, d, size=(k, g.num_nodes))
+                many = simulate_many(g, placements, cm)
+                assert many.shape == (k,) and many.dtype == np.float64
+                assert many.tolist() == [simulate(g, p, cm) for p in placements]
+
+
+def test_simulate_many_rejects_wrong_shape():
+    g, cm = split_fixture()
+    with pytest.raises(ValueError):
+        simulate_many(g, np.zeros(10, dtype=np.intp), cm)
+    with pytest.raises(ValueError):
+        simulate_many(g, np.zeros((4, 9), dtype=np.intp), cm)
+    with pytest.raises(ValueError):
+        simulate_many(g, np.zeros((2, 4, 10), dtype=np.intp), cm)
 
 
 def test_simulate_matches_recursive_oracle():
@@ -204,6 +270,41 @@ def test_brute_force_dominates_random_placements():
     for _ in range(200):
         lat = simulate(g, rng.integers(0, 2, size=g.num_nodes), cm)
         assert lat >= best - 1e-12
+
+
+def test_brute_force_matches_product_reference():
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        d = 2 + trial % 2
+        n = int(rng.integers(1, 10 if d == 2 else 7))
+        g = random_dag(n, seed=trial, num_edges=int(rng.integers(0, 2 * n)))
+        cm = random_cost_model(8, num_devices=d, seed=trial)
+        placement, latency = brute_force_optimal(g, cm)
+        ref_placement, ref_latency = product_optimal(g, cm)
+        assert np.array_equal(placement, ref_placement) and latency == ref_latency
+    g = random_dag(6, seed=1)
+    cm3 = random_cost_model(8, num_devices=3, seed=1)
+    placement, latency = brute_force_optimal(g, cm3, num_devices=2)
+    ref_placement, ref_latency = product_optimal(g, cm3, num_devices=2)
+    assert np.array_equal(placement, ref_placement) and latency == ref_latency
+    assert placement.max() <= 1
+
+
+def test_brute_force_empty_graph():
+    g = make_graph([], [], num_op_types=1)
+    placement, latency = brute_force_optimal(g, two_device_cm())
+    assert placement.shape == (0,) and placement.dtype == np.intp
+    assert latency == 0.0 and type(latency) is float
+
+
+def test_brute_force_tie_across_chunks_keeps_the_first():
+    """2**13 placements span two SEARCH_CHUNKs and all tie: all zeros wins."""
+    g = chain_graph(13, seed=0)
+    cm = CostModel(np.ones((8, 2)), np.zeros((2, 2)))
+    assert 2**13 > SEARCH_CHUNK
+    placement, latency = brute_force_optimal(g, cm)
+    assert np.array_equal(placement, np.zeros(13, dtype=np.intp))
+    assert latency == 13.0
 
 
 def test_brute_force_respects_device_override():
