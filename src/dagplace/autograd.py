@@ -9,7 +9,8 @@ Gradients are kept only on the gradient path: a primitive's backward skips
 inputs that do not require a gradient, only tensors created with
 `requires_grad` (parameters) hold a buffer up front, and an intermediate's
 gradient lives from the moment backward reaches it until its entry is
-replayed.
+replayed. Entries store no derived arrays (relu and clip_min rebuild their
+0/1 mask in backward), and backward drops each entry once it has replayed.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class Tape:
     Each entry is (output, inputs, backward_fn); backward_fn maps the
     upstream gradient to one gradient array per input, or None for an input
     that does not require one. One tape serves one forward/backward pair
-    and is single-threaded.
+    and is single-threaded. backward consumes the tape: it pops each entry
+    as it replays it, so every intermediate is released as soon as its
+    gradient has been handed on, and the tape is empty afterwards.
     """
 
     def __init__(self):
@@ -191,8 +194,7 @@ class Tape:
 
     def relu(self, a: Tensor) -> Tensor:
         out = Tensor(np.maximum(a.data, 0.0))
-        mask = (a.data > 0.0).astype(np.float64)
-        return self._record(out, (a,), lambda g: (g * mask,))
+        return self._record(out, (a,), lambda g: (g * (out.data > 0.0),))
 
     def sigmoid(self, a: Tensor) -> Tensor:
         # split by sign so exp never overflows
@@ -212,8 +214,7 @@ class Tape:
     def clip_min(self, a: Tensor, floor: float) -> Tensor:
         # entries at or above the floor keep an exact identity gradient
         out = Tensor(np.maximum(a.data, floor))
-        mask = (a.data >= floor).astype(np.float64)
-        return self._record(out, (a,), lambda g: (g * mask,))
+        return self._record(out, (a,), lambda g: (g * (a.data >= floor),))
 
     def softmax_rows(self, a: Tensor) -> Tensor:
         shifted = a.data - a.data.max(axis=1, keepdims=True)
@@ -261,7 +262,8 @@ class Tape:
         if loss.shape != (1, 1):
             raise NonScalarLoss(f"loss must be 1x1, got {loss.shape}")
         loss.grad = np.ones((1, 1))
-        for out, inputs, back in reversed(self._entries):
+        while self._entries:
+            out, inputs, back = self._entries.pop()
             g, out.grad = out.grad, None
             if g is None:  # the loss does not depend on this output
                 continue

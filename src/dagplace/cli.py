@@ -34,6 +34,7 @@ from .simulator import (
     load_cost_model,
     save_cost_model,
     simulate,
+    simulate_many,
     speedup,
 )
 from .training import ModelConfig, TrainConfig, Trainer
@@ -110,13 +111,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_inputs(graph_path: str, cm_path: str) -> tuple[CompGraph, CostModel]:
-    """Load both inputs; reject cost models that cannot rank placements."""
+    """Load both inputs; reject cost models that cannot rank placements:
+    fewer than 2 devices, or a device whose single-device latency is 0."""
     graph = load_graph(graph_path)
     cm = load_cost_model(cm_path)
     if cm.num_devices < 2:
         raise ValueError(f"cost model {cm_path} has fewer than 2 devices")
-    if simulate(graph, np.zeros(graph.num_nodes, dtype=np.intp), cm) <= 0:
-        raise ValueError(f"cpu-only latency of {graph_path} under {cm_path} is 0")
+    devices = np.arange(cm.num_devices)
+    single = np.repeat(devices[:, None], graph.num_nodes, axis=1)
+    for device, latency in zip(devices, simulate_many(graph, single, cm)):
+        if latency <= 0:
+            raise ValueError(
+                f"device {device}-only latency of {graph_path} under {cm_path} is 0"
+            )
     return graph, cm
 
 

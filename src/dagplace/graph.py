@@ -319,7 +319,8 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
 
 
 def load_graph(path: str | Path) -> CompGraph:
-    """Read a graph JSON file and validate it.
+    """Read a graph JSON file and validate it. An output shape whose
+    element count does not fit a float64 is a ValueError naming the file.
 
     Schema: {"num_op_types": int,
              "nodes": [{"id": int, "op_type": int, "output_shape": [int, ...]}],
@@ -334,8 +335,16 @@ def load_graph(path: str | Path) -> CompGraph:
         ]
         edges = [(int(u), int(v)) for u, v in data["edges"]]
         num_op_types = int(data["num_op_types"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidNode(f"malformed graph file {path}: {exc}") from exc
+    for node in nodes:
+        try:
+            volume(node.output_shape)
+        except OverflowError:
+            raise ValueError(
+                f"graph file {path}: node {node.id} output_shape volume "
+                "overflows float64"
+            ) from None
     nodes.sort(key=lambda node: node.id)
     g = CompGraph(tuple(nodes), tuple(edges), num_op_types)
     validate(g)

@@ -6,9 +6,11 @@ lifts the choice to the original nodes through the composed assignment
 matrices, and scores it with the latency simulator. Records accumulate in a
 buffer of `update_timestep` steps; an update then rebuilds the surrogate
 loss -sum_i log_prob_i * gamma^i * reward_i under the current parameters
-`k_epochs` times, stepping Adam after each rebuild. When parsing collapses
-the state to a single cluster the state resets to the original graph, with
-the accumulated per-node embeddings as its features.
+`k_epochs` times, stepping Adam after each rebuild. Each rebuild runs one
+tape and one backward per record and sums the gradients, so an update needs
+the memory of one record, whatever the buffer length. When parsing
+collapses the state to a single cluster the state resets to the original
+graph, with the accumulated per-node embeddings as its features.
 """
 
 from __future__ import annotations
@@ -303,16 +305,22 @@ class Trainer:
             self._enter(level.pooled, level.zp.data.copy(), False, composed)
         return record
 
-    def surrogate_loss(self, tape: Tape, records: list[StepRecord]) -> Tensor:
-        """-sum_i log_prob_i * gamma^i * reward_i, with log_probs rebuilt
-        from the frozen per-step states under the current parameters.
-        Rewards are constants; with `use_baseline` the buffer mean reward is
-        subtracted from each."""
-        baseline = (
-            sum(r.reward for r in records) / len(records)
-            if self.cfg.use_baseline
-            else 0.0
-        )
+    def _baseline(self, records: list[StepRecord]) -> float:
+        """The mean reward of `records` with `use_baseline`, else 0."""
+        if not self.cfg.use_baseline:
+            return 0.0
+        return sum(r.reward for r in records) / len(records)
+
+    def surrogate_loss(
+        self, tape: Tape, records: list[StepRecord], baseline: float | None = None
+    ) -> Tensor:
+        """-sum_i log_prob_i * gamma^i * (reward_i - baseline), with
+        log_probs rebuilt from the frozen per-step states under the current
+        parameters. Rewards are constants; the baseline defaults to
+        `self._baseline(records)`, and a caller that splits a buffer passes
+        the whole buffer's."""
+        if baseline is None:
+            baseline = self._baseline(records)
         loss: Tensor | None = None
         for rec in records:
             z = self._encode(
@@ -327,14 +335,20 @@ class Trainer:
         return loss
 
     def update(self) -> None:
-        """k_epochs surrogate rebuilds and Adam steps; clears the buffer."""
+        """k_epochs surrogate rebuilds and Adam steps; clears the buffer.
+
+        The loss is a sum over records, so each epoch accumulates its
+        gradient one record at a time, each on its own tape: only one
+        record's intermediates are alive at once. Records run in buffer
+        order, so the dropout stream is drawn as by one tape over all."""
         if not self.buffer:
             raise EmptyBuffer("update requires at least one recorded step")
+        baseline = self._baseline(self.buffer)
         for _ in range(self.cfg.k_epochs):
-            tape = Tape()
-            loss = self.surrogate_loss(tape, self.buffer)
             self.adam.zero_grad()
-            tape.backward(loss)
+            for rec in self.buffer:
+                tape = Tape()
+                tape.backward(self.surrogate_loss(tape, [rec], baseline))
             self.adam.step()
         self.buffer.clear()
 

@@ -1,10 +1,21 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagplace.cli import main
-from dagplace.fixtures import dominant_device_fixture, split_fixture
+from dagplace.fixtures import (
+    dominant_device_fixture,
+    random_cost_model,
+    random_dag,
+    split_fixture,
+)
 from dagplace.graph import load_graph, save_graph
 from dagplace.policy import load_placement
 from dagplace.simulator import load_cost_model, save_cost_model, simulate, speedup
@@ -155,6 +166,81 @@ def test_degenerate_cost_model_is_a_usage_error(tmp_path, capsys, split_files, k
         assert code == 2, err
         assert str(bad) in err and reason in err
         assert not (tmp_path / "out").exists()
+
+
+def _usage_errors(graph_path, cm_path, out_dir):
+    """Run baselines and a short train; yield each one's exit code and stderr."""
+    for command in (["baselines"], ["train", *TRAIN_FLAGS]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*command, "--graph", str(graph_path),
+                         "--cost-model", str(cm_path), "--out", str(out_dir)])
+        yield code, err.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    devices=st.integers(2, 4),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_zero_latency_device_is_a_usage_error(n, devices, seed, data):
+    """Any device whose single-device latency is 0 (here: no compute cost
+    and, on one device, no transfer) is rejected at load time."""
+    g = random_dag(n, seed=seed)
+    cm = random_cost_model(g.num_op_types, devices, seed=seed)
+    free = data.draw(st.integers(0, devices - 1), label="free device")
+    cm.compute[:, free] = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, cm_path = Path(tmp, "graph.json"), Path(tmp, "cm.json")
+        save_graph(g, graph_path)
+        save_cost_model(cm, cm_path)
+        for code, err in _usage_errors(graph_path, cm_path, Path(tmp, "out")):
+            assert code == 2, err
+            assert str(cm_path) in err and f"device {free}-only latency" in err
+        assert not Path(tmp, "out").exists()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 20),
+    seed=st.integers(0, 1000),
+    shape=st.lists(st.integers(10**160, 10**300), min_size=2, max_size=4),
+    data=st.data(),
+)
+def test_output_shape_overflowing_float64_is_a_usage_error(n, seed, shape, data):
+    """A shape whose element count is past the float64 range is rejected
+    when the graph loads, naming the file, instead of failing in the
+    simulator plan."""
+    g = random_dag(n, seed=seed)
+    cm = random_cost_model(g.num_op_types, 2, seed=seed)
+    node = data.draw(st.integers(0, n - 1), label="node")
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, cm_path = Path(tmp, "graph.json"), Path(tmp, "cm.json")
+        save_graph(g, graph_path)
+        save_cost_model(cm, cm_path)
+        raw = json.loads(graph_path.read_text())
+        raw["nodes"][node]["output_shape"] = shape
+        graph_path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="overflows float64") as info:
+            load_graph(graph_path)
+        assert str(graph_path) in str(info.value)
+        for code, err in _usage_errors(graph_path, cm_path, Path(tmp, "out")):
+            assert code == 2, err
+            assert str(graph_path) in err and "overflows float64" in err
+        assert not Path(tmp, "out").exists()
+
+
+def test_large_finite_output_shape_still_loads(tmp_path):
+    g = random_dag(3, seed=0)
+    raw = {"num_op_types": g.num_op_types,
+           "nodes": [{"id": v.id, "op_type": v.op_type, "output_shape": [10**150, 10**150]}
+                     for v in g.nodes],
+           "edges": [list(e) for e in g.edges]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(raw))
+    assert load_graph(path).plan.volumes == (1e300,) * 3
 
 
 def test_train_writes_artifacts(tmp_path, capsys, dominant_files):

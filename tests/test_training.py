@@ -369,3 +369,61 @@ def test_step_and_update_memory_is_linear_in_graph_size():
     about 2x on edge lists; one dense n x n matrix would make it about 4x."""
     small, large = (_step_and_update_peak_bytes(n) for n in (400, 800))
     assert large < 3 * small, (small, large)
+
+
+def _trainer_with_buffer(use_baseline: bool) -> Trainer:
+    g = random_dag(40, seed=3)
+    cm = random_cost_model(g.num_op_types, 3, seed=3)
+    cfg = TrainConfig(
+        update_timestep=5, k_epochs=2, learning_rate=0.01, use_baseline=use_baseline
+    )
+    tr = Trainer(g, cm, cfg, ModelConfig(hidden_channel=8, dropout_network=0.3), NARROW)
+    for _ in range(cfg.update_timestep):
+        tr.step()
+    return tr
+
+
+@pytest.mark.parametrize("use_baseline", [False, True])
+def test_update_equals_single_tape_reference(use_baseline):
+    """update() accumulates one backward per record; the loss is a sum, so
+    its parameters equal those of one tape over the whole buffer, up to
+    summation order. Dropout is on, so the records must also draw their
+    masks in the same order."""
+    a, b = _trainer_with_buffer(use_baseline), _trainer_with_buffer(use_baseline)
+    assert len(a.buffer) >= 4
+    before = [p.data.copy() for p in b.parameters()]
+    a.update()
+    for _ in range(b.cfg.k_epochs):
+        b.adam.zero_grad()
+        tape = Tape()
+        tape.backward(b.surrogate_loss(tape, b.buffer))
+        b.adam.step()
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        assert np.abs(pa.data - pb.data).max() <= 1e-12 * np.abs(pb.data).max()
+    # the reference moved the parameters, so the comparison is not vacuous
+    assert any(not np.array_equal(p.data, p0) for p, p0 in zip(b.parameters(), before))
+    assert a.dropout_rng.random() == b.dropout_rng.random()
+
+
+def _update_peak_bytes(update_timestep: int) -> int:
+    g = random_dag(400, seed=0)
+    cm = random_cost_model(g.num_op_types, 2, seed=0)
+    cfg = TrainConfig(update_timestep=update_timestep, k_epochs=1)
+    tr = Trainer(g, cm, cfg, ModelConfig(hidden_channel=32), NARROW)
+    for _ in range(update_timestep):
+        tr.step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.update()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_update_memory_does_not_grow_with_the_buffer():
+    """Only one record's tape is alive at a time, so an update over 16
+    records peaks about where one over 2 does; a single tape over the whole
+    buffer would hold every record's intermediates (about 4.5x here)."""
+    short, long = _update_peak_bytes(2), _update_peak_bytes(16)
+    assert long < 1.25 * short, (short, long)
