@@ -36,35 +36,6 @@ class FeatureConfig:
             raise ValueError(f"pe_base must be positive, got {self.pe_base}")
 
 
-@dataclass(frozen=True)
-class FeatureLayout:
-    """Widths of the consecutive feature segments, in row order."""
-
-    type_width: int
-    shape_width: int
-    in_deg_width: int
-    out_deg_width: int
-    fractal_width: int
-    pos_width: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.type_width
-            + self.shape_width
-            + self.in_deg_width
-            + self.out_deg_width
-            + self.fractal_width
-            + self.pos_width
-        )
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    values: np.ndarray
-    layout: FeatureLayout
-
-
 def one_hot_types(graph: CompGraph) -> np.ndarray:
     """|V| x |T| binary matrix; row v has a single 1 at column op_type(v)."""
     out = np.zeros((graph.num_nodes, graph.num_op_types), dtype=np.float64)
@@ -84,17 +55,17 @@ def degree_one_hots(graph: CompGraph) -> tuple[np.ndarray, np.ndarray]:
     value occurring in this graph.
     """
     return (
-        _one_hot_values(graph.in_degrees()),
-        _one_hot_values(graph.out_degrees()),
+        _one_hot_values([len(p) for p in graph.neighbors.pred]),
+        _one_hot_values([len(s) for s in graph.neighbors.succ]),
     )
 
 
-def _one_hot_values(values: np.ndarray) -> np.ndarray:
-    distinct = sorted(set(int(v) for v in values))
+def _one_hot_values(values: list[int]) -> np.ndarray:
+    distinct = sorted(set(values))
     col = {d: j for j, d in enumerate(distinct)}
     out = np.zeros((len(values), len(distinct)), dtype=np.float64)
     for i, v in enumerate(values):
-        out[i, col[int(v)]] = 1.0
+        out[i, col[v]] = 1.0
     return out
 
 
@@ -166,7 +137,7 @@ def shape_features(graph: CompGraph) -> np.ndarray:
     return out
 
 
-def build_features(graph: CompGraph, cfg: FeatureConfig) -> FeatureMatrix:
+def build_features(graph: CompGraph, cfg: FeatureConfig) -> np.ndarray:
     """Assemble the full per-node feature matrix in the fixed segment order."""
     types = one_hot_types(graph)
     shapes = shape_features(graph)
@@ -179,14 +150,4 @@ def build_features(graph: CompGraph, cfg: FeatureConfig) -> FeatureMatrix:
     pos = np.vstack(
         [positional_encoding(rank[v], cfg) for v in range(graph.num_nodes)]
     ) if graph.num_nodes else np.zeros((0, cfg.d_pos))
-    values = np.hstack([types, shapes, in_deg, out_deg, fractal, pos])
-    layout = FeatureLayout(
-        type_width=types.shape[1],
-        shape_width=shapes.shape[1],
-        in_deg_width=in_deg.shape[1],
-        out_deg_width=out_deg.shape[1],
-        fractal_width=1,
-        pos_width=cfg.d_pos,
-    )
-    assert values.shape == (graph.num_nodes, layout.total)
-    return FeatureMatrix(values, layout)
+    return np.hstack([types, shapes, in_deg, out_deg, fractal, pos])

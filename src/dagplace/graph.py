@@ -3,6 +3,13 @@
 A computation graph is a labeled DAG whose nodes are tensor operations and
 whose edges are data dependencies. Node ids are dense integers 0..n-1,
 each node carries an operation-type index and an output shape.
+
+A graph is immutable, so what is derived from its edges is built once and
+cached: `CompGraph.neighbors` holds every node's successors and
+predecessors in edge order, and the topological sort, the cycle witness,
+the simulation plan, co-location and the degree features all read it.
+`contract_edges` lifts edges through a node-to-group map; co-location and
+the pooling of `dagplace.partition` both contract with it.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -81,13 +88,20 @@ class CompGraph:
         return a
 
     @cached_property
+    def neighbors(self) -> Neighbors:
+        """Successors and predecessors of every node, from one pass over
+        the edges."""
+        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        pred: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        for u, v in self.edges:
+            succ[u].append(v)
+            pred[v].append(u)
+        return Neighbors(tuple(map(tuple, succ)), tuple(map(tuple, pred)))
+
+    @cached_property
     def undirected_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors of every node when edge directions are ignored."""
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, nbrs))
+        return tuple(s + p for s, p in zip(self.neighbors.succ, self.neighbors.pred))
 
     @cached_property
     def plan(self) -> SimulationPlan:
@@ -96,35 +110,19 @@ class CompGraph:
         ops = tuple(node.op_type for node in self.nodes)
         return SimulationPlan(
             topo=topo_sort(self),
-            preds=tuple(map(tuple, self.predecessors())),
+            preds=self.neighbors.pred,
             volumes=tuple(volume(node.output_shape) for node in self.nodes),
             op_types=ops,
             op_range=(min(ops, default=0), max(ops, default=0)),
         )
 
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            out[u].append(v)
-        return out
 
-    def predecessors(self) -> list[list[int]]:
-        inc: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            inc[v].append(u)
-        return inc
+@dataclass(frozen=True)
+class Neighbors:
+    """Each node's successors and predecessors, both in edge order."""
 
-    def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for _, v in self.edges:
-            deg[v] += 1
-        return deg
-
-    def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        for u, _ in self.edges:
-            deg[u] += 1
-        return deg
+    succ: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]
 
 
 def make_graph(
@@ -182,14 +180,7 @@ class TopoOrder:
     """A topological order and its inverse (node id -> position)."""
 
     order: tuple[int, ...]
-    rank: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.rank:
-            r = [0] * len(self.order)
-            for pos, v in enumerate(self.order):
-                r[v] = pos
-            object.__setattr__(self, "rank", tuple(r))
+    rank: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -210,10 +201,8 @@ class SimulationPlan:
 def topo_sort(graph: CompGraph) -> TopoOrder:
     """Kahn's algorithm with a min-id frontier, so the order is deterministic."""
     n = graph.num_nodes
-    indeg = [0] * n
-    succ = graph.successors()
-    for _, v in graph.edges:
-        indeg[v] += 1
+    succ = graph.neighbors.succ
+    indeg = [len(p) for p in graph.neighbors.pred]
     frontier = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(frontier)
     order: list[int] = []
@@ -226,12 +215,15 @@ def topo_sort(graph: CompGraph) -> TopoOrder:
                 heapq.heappush(frontier, w)
     if len(order) < n:
         raise CycleDetected(_find_cycle(graph, {v for v in range(n) if indeg[v] > 0}))
-    return TopoOrder(tuple(order))
+    rank = [0] * n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    return TopoOrder(tuple(order), tuple(rank))
 
 
 def _find_cycle(graph: CompGraph, remaining: set[int]) -> list[int]:
     """Walk successor links inside the unresolvable node set until a repeat."""
-    succ = graph.successors()
+    succ = graph.neighbors.succ
     start = min(remaining)
     path = [start]
     seen = {start: 0}
@@ -267,6 +259,18 @@ def components(n: int, pairs) -> tuple[np.ndarray, int]:
     return membership.astype(np.intp), len(roots)
 
 
+def contract_edges(
+    membership: np.ndarray, num_groups: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contract groups of nodes: every edge src[i] -> dst[i] lifts to the
+    group pair (m[src[i]], m[dst[i]]). Pairs inside one group vanish,
+    repeats merge, and the rest come back in row-major order."""
+    gsrc = membership[src]
+    gdst = membership[dst]
+    keys = np.unique((gsrc * num_groups + gdst)[gsrc != gdst])
+    return keys // num_groups, keys % num_groups
+
+
 def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     """Merge sole-parent/sole-child chains into single coarse nodes.
 
@@ -281,18 +285,15 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     Returns the coarse graph and a membership list mapping node id to
     coarse id; coarse ids are numbered by ascending minimum member id.
     """
-    n = graph.num_nodes
     order = graph.plan.topo
-    out_deg = graph.out_degrees()
-    in_deg = graph.in_degrees()
-    succ = graph.successors()
+    succ, pred = graph.neighbors.succ, graph.neighbors.pred
 
     pairs = (
         (v, succ[v][0])
         for v in order.order
-        if out_deg[v] == 1 and in_deg[succ[v][0]] == 1
+        if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
     )
-    ids, count = components(n, pairs)
+    ids, count = components(graph.num_nodes, pairs)
     membership = ids.tolist()
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(membership):
@@ -306,14 +307,10 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
         last = max(group, key=lambda v: order.rank[v])
         coarse_nodes.append(OpNode(i, op_type, graph.nodes[last].output_shape))
 
-    coarse_edges = sorted(
-        {
-            (membership[u], membership[v])
-            for u, v in graph.edges
-            if membership[u] != membership[v]
-        }
-    )
-    coarse = CompGraph(tuple(coarse_nodes), tuple(coarse_edges), graph.num_op_types)
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    src, dst = contract_edges(ids, count, edges[:, 0], edges[:, 1])
+    coarse_edges = tuple(zip(src.tolist(), dst.tolist()))
+    coarse = CompGraph(tuple(coarse_nodes), coarse_edges, graph.num_op_types)
     validate(coarse)
     return coarse, membership
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tape, Tensor
-from .graph import components
+from .graph import components, contract_edges
 from .nn import Mlp, mlp_forward
 
 
@@ -142,10 +142,7 @@ def pool(assign: AssignMatrix, graph: PooledGraph) -> PooledGraph:
     """Contract clusters: every edge (u, v) lifts to the cluster pair
     (m[u], m[v]); pairs inside one cluster vanish and repeats merge."""
     k = assign.num_clusters
-    src = assign.membership[graph.src]
-    dst = assign.membership[graph.dst]
-    keys = np.unique((src * k + dst)[src != dst])
-    return PooledGraph(k, keys // k, keys % k)
+    return PooledGraph(k, *contract_edges(assign.membership, k, graph.src, graph.dst))
 
 
 def pool_features(tape: Tape, z: Tensor, assign: AssignMatrix) -> Tensor:

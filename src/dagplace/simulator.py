@@ -179,7 +179,8 @@ def speedup(base_latency: float, latency: float) -> float:
     """Percent improvement over a baseline latency."""
     if base_latency <= 0:
         raise NonPositiveLatency(f"baseline must be positive, got {base_latency}")
-    return 100.0 * (base_latency - latency) / base_latency
+    # divide first: the scaled difference of two finite latencies may overflow
+    return 100.0 * ((base_latency - latency) / base_latency)
 
 
 def brute_force_optimal(

@@ -27,7 +27,7 @@ from .encoder import (
     init_projection,
     normalize_adjacency,
 )
-from .features import FeatureConfig, FeatureMatrix, build_features
+from .features import FeatureConfig, build_features
 from .graph import CompGraph
 from .nn import init_mlp, mlp_forward
 from .partition import (
@@ -180,7 +180,7 @@ class Trainer:
         self.cm = cm
         self.cfg = cfg
         self.model = model
-        self.x0: FeatureMatrix = build_features(graph, features)
+        self.x0 = build_features(graph, features)
 
         streams = np.random.SeedSequence(cfg.seed).spawn(4)
         self.init_rng, self.dropout_rng, self.parsing_rng, self.action_rng = (
@@ -189,7 +189,7 @@ class Trainer:
 
         hidden = model.hidden_channel
         self.projection = init_projection(
-            self.init_rng, self.x0.layout.total, hidden, model.layer_trans
+            self.init_rng, self.x0.shape[1], hidden, model.layer_trans
         )
         self.gcn: GcnParams = init_gcn(self.init_rng, [hidden] * (model.layer_gnn + 1))
         self.phi = init_mlp(self.init_rng, [hidden] * model.layer_parsingnet + [1])
@@ -205,7 +205,7 @@ class Trainer:
         # the original level, built once and shared by every restart
         self.level0 = PooledGraph.of(graph)
         self.identity = AssignMatrix(np.arange(graph.num_nodes), graph.num_nodes)
-        self._enter(self.level0, self.x0.values, True, self.identity)
+        self._enter(self.level0, self.x0, True, self.identity)
 
     def parameters(self):
         return [
@@ -388,7 +388,7 @@ class Trainer:
         """Deterministic cascade: from the original graph, repeatedly parse
         and take the argmax device per cluster, keeping the best simulated
         placement across coarsening levels. Leaves trainer state untouched."""
-        graph, features, projects = self.level0, self.x0.values, True
+        graph, features, projects = self.level0, self.x0, True
         composed = self.identity
         best: np.ndarray | None = None
         best_latency = float("inf")

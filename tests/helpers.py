@@ -45,11 +45,14 @@ def max_rel_err(analytic, numeric, floor: float = 1e-6) -> float:
 
 def longest_path_latency(graph: CompGraph, placement, cm) -> float:
     """Independent simulator oracle: memoized recursion over predecessors
-    instead of a forward topological sweep."""
+    instead of a forward topological sweep. It builds its own predecessor
+    lists from the edges, so it shares nothing with the simulation plan."""
     from dagplace.simulator import volume
 
     placement = np.asarray(placement, dtype=np.intp)
-    preds = graph.predecessors()
+    preds: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for u, v in graph.edges:
+        preds[v].append(u)
     memo: dict[int, float] = {}
 
     def finish(v: int) -> float:

@@ -2,14 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagplace.cli import main
+from dagplace.cli import RunConfig, main
+from dagplace.features import FeatureConfig
 from dagplace.fixtures import (
     dominant_device_fixture,
     random_cost_model,
@@ -19,6 +22,7 @@ from dagplace.fixtures import (
 from dagplace.graph import load_graph, save_graph
 from dagplace.policy import load_placement
 from dagplace.simulator import load_cost_model, save_cost_model, simulate, speedup
+from dagplace.training import ModelConfig, TrainConfig
 
 
 @pytest.fixture
@@ -241,6 +245,38 @@ def test_large_finite_output_shape_still_loads(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(raw))
     assert load_graph(path).plan.volumes == (1e300,) * 3
+
+
+def test_baselines_speedup_stays_finite_for_huge_latencies(tmp_path, capsys):
+    # volumes of 1e308 make every transfer cost about 1e306, so a random
+    # placement's latency is finite but 100 times its gap to cpu-only is not
+    g = random_dag(30, seed=0)
+    raw = {"num_op_types": g.num_op_types,
+           "nodes": [{"id": v.id, "op_type": v.op_type, "output_shape": [10**154, 10**154]}
+                     for v in g.nodes],
+           "edges": [list(e) for e in g.edges]}
+    graph_path, cm_path = tmp_path / "graph.json", tmp_path / "cm.json"
+    graph_path.write_text(json.dumps(raw))
+    save_cost_model(random_cost_model(g.num_op_types, seed=0), cm_path)
+    out = tmp_path / "out"
+    code = main(["baselines", "--graph", str(graph_path), "--cost-model", str(cm_path),
+                 "--out", str(out)])
+    assert code == 0
+    text = (out / "baselines.csv").read_text()
+    assert "inf" not in text
+    rows = read_csv(out / "baselines.csv")[1:]
+    assert max(float(r[1]) for r in rows) > 1e300  # the latencies are huge
+    assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_run_config_defaults_match_library_defaults():
+    # `dagplace train` with no flags must train what Trainer's own
+    # defaults train, which the benchmark relies on
+    run = {f.name: f.default for f in fields(RunConfig)}
+    for library in (TrainConfig, ModelConfig, FeatureConfig):
+        for f in fields(library):
+            assert f.name in run, f"{library.__name__}.{f.name} has no train flag"
+            assert run[f.name] == f.default, f"{library.__name__}.{f.name}"
 
 
 def test_train_writes_artifacts(tmp_path, capsys, dominant_files):

@@ -122,32 +122,31 @@ def test_positional_encoding_rejects_negative_rank():
 
 def test_build_features_layout_and_segments(diamond):
     cfg = FeatureConfig(d_pos=4)
-    fm = build_features(diamond, cfg)
-    lay = fm.layout
-    assert (lay.type_width, lay.shape_width) == (3, 2)
-    assert (lay.in_deg_width, lay.out_deg_width) == (3, 3)
-    assert (lay.fractal_width, lay.pos_width) == (1, 4)
-    assert fm.values.shape == (4, lay.total)
-
-    start = lay.type_width
-    assert np.array_equal(fm.values[:, :start], one_hot_types(diamond))
-    shapes = fm.values[:, start:start + lay.shape_width]
+    values = build_features(diamond, cfg)
+    # the diamond's segment widths: 3 op types, shapes of rank 2, in- and
+    # out-degree values {0, 1, 2}, one fractal column, d_pos encodings
+    widths = (3, 2, 3, 3, 1, 4)
+    assert values.shape == (4, sum(widths))
+    types, shapes, in_deg, out_deg, fractal, pos = np.split(
+        values, np.cumsum(widths)[:-1], axis=1
+    )
+    assert np.array_equal(types, one_hot_types(diamond))
     assert np.array_equal(shapes, shape_features(diamond))
-
-    fr_col = lay.type_width + lay.shape_width + lay.in_deg_width + lay.out_deg_width
+    assert np.array_equal(in_deg, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert np.array_equal(out_deg, [[0, 0, 1], [0, 1, 0], [0, 1, 0], [1, 0, 0]])
     for v in range(4):
-        assert fm.values[v, fr_col] == fractal_dimension(diamond, v)
+        assert fractal[v, 0] == fractal_dimension(diamond, v)
 
     rank = topo_sort(diamond).rank
-    pos = fm.values[:, -lay.pos_width:]
     for v in range(4):
         assert np.array_equal(pos[v], positional_encoding(rank[v], cfg))
 
 
 def test_build_features_empty_graph():
     g = make_graph([], [], num_op_types=2)
-    fm = build_features(g, FeatureConfig(d_pos=6))
-    assert fm.values.shape == (0, fm.layout.total)
+    values = build_features(g, FeatureConfig(d_pos=6))
+    # no shapes and no degree values, so only the fixed-width segments
+    assert values.shape == (0, 2 + 1 + 6)
 
 
 def test_build_features_positions_follow_topo_rank():
@@ -155,7 +154,7 @@ def test_build_features_positions_follow_topo_rank():
         [(0, 0, ()), (1, 0, ()), (2, 0, ())], [(2, 0), (2, 1)], num_op_types=1
     )
     cfg = FeatureConfig(d_pos=4)
-    fm = build_features(g, cfg)
+    values = build_features(g, cfg)
     # topo order is (2, 0, 1), so node 2 carries the rank-0 encoding
-    assert np.array_equal(fm.values[2, -4:], positional_encoding(0, cfg))
-    assert np.array_equal(fm.values[0, -4:], positional_encoding(1, cfg))
+    assert np.array_equal(values[2, -4:], positional_encoding(0, cfg))
+    assert np.array_equal(values[0, -4:], positional_encoding(1, cfg))

@@ -38,10 +38,18 @@ def test_adjacency_and_degrees(diamond):
     for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
         expected[u, v] = 1.0
     assert np.array_equal(a, expected)
-    assert np.array_equal(diamond.in_degrees(), [0, 1, 1, 2])
-    assert np.array_equal(diamond.out_degrees(), [2, 1, 1, 0])
-    assert diamond.successors()[0] == [1, 2]
-    assert diamond.predecessors()[3] == [1, 2]
+    nbrs = diamond.neighbors
+    assert nbrs.succ == ((1, 2), (3,), (3,), ())
+    assert nbrs.pred == ((), (0,), (0,), (1, 2))
+    assert diamond.neighbors is nbrs  # built once, then cached
+    assert diamond.plan.preds is nbrs.pred
+
+
+def test_neighbors_keep_edge_order():
+    g = make_graph([(i, 0, ()) for i in range(3)], [(0, 2), (1, 2), (0, 1)], 1)
+    assert g.neighbors.succ == ((2, 1), (2,), ())
+    assert g.neighbors.pred == ((), (0,), (0, 1))
+    assert g.undirected_neighbors == ((2, 1), (2, 0), (0, 1))
 
 
 def test_validate_rejects_sparse_ids():
@@ -87,6 +95,19 @@ def test_cycle_detection_returns_witness():
     assert cycle[0] == cycle[-1]
     edges = {(0, 1), (1, 2), (2, 0)}
     assert all((u, v) in edges for u, v in zip(cycle, cycle[1:]))
+
+
+def test_cycle_witness_follows_edge_order():
+    # node 1 lies on two cycles; the walk takes its first successor in
+    # edge order (3), not its smallest (2)
+    with pytest.raises(CycleDetected) as exc:
+        make_graph(
+            [(i, 0, ()) for i in range(6)],
+            [(0, 5), (5, 1), (1, 3), (1, 2), (2, 1), (3, 4), (4, 1)],
+            num_op_types=1,
+        )
+    assert exc.value.cycle == [1, 3, 4, 1]
+    assert str(exc.value) == "graph contains a cycle: 1 -> 3 -> 4 -> 1"
 
 
 def test_topo_sort_chain_and_diamond(diamond):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,9 @@ def test_reward_and_speedup():
     assert speedup(2.0, 1.0) == 50.0
     assert speedup(1.0, 2.0) == -100.0
     assert speedup(5.0, 5.0) == 0.0
+    # 100 * (base - latency) overflows here; the percentage itself does not
+    assert math.isfinite(speedup(1e306, 4.27e306))
+    assert speedup(1e306, 4.27e306) == pytest.approx(-327.0)
     with pytest.raises(NonPositiveLatency):
         speedup(0.0, 1.0)
 
