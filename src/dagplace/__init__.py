@@ -36,7 +36,6 @@ from .training import (
     TrainConfig,
     Trainer,
     TrainResult,
-    train,
 )
 
 __version__ = "0.1.0"
@@ -68,6 +67,5 @@ __all__ = [
     "simulate_many",
     "speedup",
     "topo_sort",
-    "train",
     "validate",
 ]

@@ -25,7 +25,7 @@ from .fixtures import (
     random_dag,
 )
 from .graph import CompGraph, GraphError, colocate, load_graph, save_graph
-from .policy import default_devices, save_placement
+from .policy import save_placement
 from .simulator import (
     BRUTE_FORCE_LIMIT,
     CostModel,
@@ -42,72 +42,87 @@ from .training import ModelConfig, TrainConfig, Trainer
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for `train`.
-
-    Precedence: built-in defaults, then the JSON config file, then flags.
-    Unknown keys in the file are rejected, and a value of the wrong type
-    raises TypeError.
-    """
+    """The settings of a `train` run that no library config owns."""
 
     graph: str | None = None
     cost_model: str | None = None
     out: str = "runs/latest"
     colocate: bool = True
     skip_optimal: bool = False
-    seed: int = 0
-    max_episodes: int = 100
-    update_timestep: int = 20
-    k_epochs: int = 4
-    gamma: float = 0.99
-    learning_rate: float = 1e-4
-    use_baseline: bool = False
-    target_latency: float | None = None
-    hidden_channel: int = 128
-    layer_gnn: int = 2
-    layer_trans: int = 2
-    layer_parsingnet: int = 2
-    dropout_network: float = 0.2
-    dropout_parsing: float = 0.0
-    d_pos: int = 16
-    pe_base: float = 10000.0
-
-    def __post_init__(self):
-        for name, hint in get_type_hints(RunConfig).items():
-            allowed = get_args(hint) or (hint,)
-            if float in allowed:
-                allowed += (int,)  # a hand-written file may say 0 for 0.0
-            value = getattr(self, name)
-            # bool subclasses int, but a JSON true is not a number
-            if not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed
-            ):
-                expected = hint.__name__ if isinstance(hint, type) else hint
-                raise TypeError(f"{name} must be {expected}, got {value!r}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+# every `train` setting is a field of one of these; each field is a config
+# file key and a flag
+TRAIN_CONFIGS = (RunConfig, TrainConfig, ModelConfig, FeatureConfig)
+
+TRAIN_HELP = {
+    "graph": "computation graph JSON path",
+    "cost_model": "cost model JSON path",
+    "out": "output directory (default runs/latest)",
+    "colocate": "merge sole-parent/sole-child chains first (default on)",
+    "skip_optimal": "omit the brute-force row from the results table",
+    "update_timestep": "steps per update buffer",
+    "k_epochs": "optimizer passes per buffer",
+    "gamma": "per-step reward discount",
+    "seed": "seed for all run randomness",
+    "use_baseline": "subtract the buffer mean reward in updates",
+    "target_latency": "stop once reached",
+    "d_pos": "positional encoding width",
+    "pe_base": "positional encoding base",
+}
+
+
+def _check_types(cls: type, values: dict) -> None:
+    """Raise TypeError for the first value that does not fit the hint of
+    its field in `cls`; keys that are not fields of `cls` are ignored."""
+    for name, hint in get_type_hints(cls).items():
+        if name not in values:
+            continue
+        allowed = get_args(hint) or (hint,)
+        if float in allowed:
+            allowed += (int,)  # a hand-written file may say 0 for 0.0
+        value = values[name]
+        # bool subclasses int, but a JSON true is not a number
+        if not isinstance(value, allowed) or (
+            isinstance(value, bool) and bool not in allowed
+        ):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise TypeError(f"{name} must be {expected}, got {value!r}")
+
+
+def resolve_config(
+    args: argparse.Namespace,
+) -> tuple[RunConfig, TrainConfig, ModelConfig, FeatureConfig]:
+    """Merge built-in defaults, then the JSON config file, then flags, into
+    one config per class of TRAIN_CONFIGS. Unknown keys in the file and
+    values of the wrong type are rejected."""
+    known = [f.name for cls in TRAIN_CONFIGS for f in fields(cls)]
     values: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = sorted(set(file_values) - known)
+        unknown = sorted(set(file_values) - set(known))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         values.update(file_values)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
+    for name in known:
+        flag = getattr(args, name)
         if flag is not None:
-            values[f.name] = flag
+            values[name] = flag
     try:
-        cfg = RunConfig(**values)
+        for cls in TRAIN_CONFIGS:
+            _check_types(cls, values)
     except TypeError as exc:
         raise ValueError(f"malformed config file {args.config}: {exc}") from exc
-    if cfg.graph is None or cfg.cost_model is None:
+    run, train, model, features = (
+        cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+        for cls in TRAIN_CONFIGS
+    )
+    if run.graph is None or run.cost_model is None:
         raise ValueError("graph and cost_model must be set via flags or config file")
-    return cfg
+    return run, train, model, features
 
 
 def _load_inputs(graph_path: str, cm_path: str) -> tuple[CompGraph, CostModel]:
@@ -172,37 +187,17 @@ def _write_history(path: Path, history) -> None:
             )
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    raw, cm = _load_inputs(cfg.graph, cfg.cost_model)
-    if cfg.colocate:
+def cmd_train(
+    run: RunConfig, train: TrainConfig, model: ModelConfig, features: FeatureConfig
+) -> int:
+    raw, cm = _load_inputs(run.graph, run.cost_model)
+    if run.colocate:
         trained_graph, membership = colocate(raw)
     else:
         trained_graph, membership = raw, list(range(raw.num_nodes))
     member = np.asarray(membership, dtype=np.intp)
 
-    trainer = Trainer(
-        trained_graph,
-        cm,
-        TrainConfig(
-            max_episodes=cfg.max_episodes,
-            update_timestep=cfg.update_timestep,
-            k_epochs=cfg.k_epochs,
-            gamma=cfg.gamma,
-            learning_rate=cfg.learning_rate,
-            seed=cfg.seed,
-            use_baseline=cfg.use_baseline,
-            target_latency=cfg.target_latency,
-        ),
-        ModelConfig(
-            hidden_channel=cfg.hidden_channel,
-            layer_gnn=cfg.layer_gnn,
-            layer_trans=cfg.layer_trans,
-            layer_parsingnet=cfg.layer_parsingnet,
-            dropout_network=cfg.dropout_network,
-            dropout_parsing=cfg.dropout_parsing,
-        ),
-        FeatureConfig(d_pos=cfg.d_pos, pe_base=cfg.pe_base),
-    )
+    trainer = Trainer(trained_graph, cm, train, model, features)
     result = trainer.run()
     greedy_coarse, _ = trainer.evaluate_greedy()
 
@@ -211,18 +206,19 @@ def cmd_train(cfg: RunConfig) -> int:
     best_raw = result.best_placement[member]
     greedy_raw = greedy_coarse[member]
 
-    rows = _evaluate_baselines(raw, cm, cfg.seed, cfg.skip_optimal)
+    rows = _evaluate_baselines(raw, cm, train.seed, run.skip_optimal)
     rows.append(("trained-best", simulate(raw, best_raw, cm), best_raw))
     rows.append(("trained-greedy", simulate(raw, greedy_raw, cm), greedy_raw))
 
-    out = Path(cfg.out)
+    out = Path(run.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_history(out / "history.csv", result.history)
     _write_results(out / "results.csv", rows)
     winner = min(rows[-2:], key=lambda r: r[1])
-    save_placement(winner[2], default_devices(cm.num_devices), out / "best_placement.json")
+    save_placement(winner[2], cm.num_devices, out / "best_placement.json")
+    merged = {**asdict(run), **asdict(train), **asdict(model), **asdict(features)}
     with open(out / "config.json", "w") as fh:
-        json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
+        json.dump(merged, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
     print(f"trained {result.episodes} episodes ({len(result.history)} steps)")
@@ -281,34 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
         "placement policy against a latency model, or evaluate baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    boolean = argparse.BooleanOptionalAction
 
     train_p = sub.add_parser("train", help="train a policy and write run artifacts")
     train_p.add_argument("--config", help="JSON config file; flags override it")
-    train_p.add_argument("--graph", help="computation graph JSON path")
-    train_p.add_argument("--cost-model", help="cost model JSON path")
-    train_p.add_argument("--out", help="output directory (default runs/latest)")
-    train_p.add_argument("--seed", type=int, help="seed for all run randomness")
-    train_p.add_argument("--max-episodes", type=int)
-    train_p.add_argument("--update-timestep", type=int, help="steps per update buffer")
-    train_p.add_argument("--k-epochs", type=int, help="optimizer passes per buffer")
-    train_p.add_argument("--gamma", type=float, help="per-step reward discount")
-    train_p.add_argument("--learning-rate", type=float)
-    train_p.add_argument("--target-latency", type=float, help="stop once reached")
-    train_p.add_argument("--use-baseline", action=boolean, default=None,
-                         help="subtract the buffer mean reward in updates")
-    train_p.add_argument("--colocate", action=boolean, default=None,
-                         help="merge sole-parent/sole-child chains first (default on)")
-    train_p.add_argument("--skip-optimal", action=boolean, default=None,
-                         help="omit the brute-force row from the results table")
-    train_p.add_argument("--hidden-channel", type=int)
-    train_p.add_argument("--layer-gnn", type=int)
-    train_p.add_argument("--layer-trans", type=int)
-    train_p.add_argument("--layer-parsingnet", type=int)
-    train_p.add_argument("--dropout-network", type=float)
-    train_p.add_argument("--dropout-parsing", type=float)
-    train_p.add_argument("--d-pos", type=int, help="positional encoding width")
-    train_p.add_argument("--pe-base", type=float, help="positional encoding base")
+    for cls in TRAIN_CONFIGS:
+        for name, hint in get_type_hints(cls).items():
+            if hint is bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:  # the non-None member of `int`, `float | None`, ...
+                (value_type,) = [t for t in get_args(hint) or (hint,) if t is not type(None)]
+                kind = {"type": value_type}
+            train_p.add_argument(
+                "--" + name.replace("_", "-"), help=TRAIN_HELP.get(name), **kind
+            )
 
     base_p = sub.add_parser(
         "baselines", help="evaluate cpu-only, gpu-only, random, and optimal placements"
@@ -342,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            return cmd_train(resolve_config(args))
+            return cmd_train(*resolve_config(args))
         if args.command == "baselines":
             return cmd_baselines(args)
         if args.command == "stats":

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,27 +10,6 @@ import numpy as np
 from .autograd import Tape, Tensor
 from .nn import Mlp, init_mlp, mlp_forward
 from .partition import AssignMatrix
-
-
-@dataclass(frozen=True)
-class DeviceList:
-    """Ordered device names; index is the device id."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.names) < 2:
-            raise ValueError("need at least 2 devices")
-
-    @property
-    def count(self) -> int:
-        return len(self.names)
-
-
-def default_devices(count: int = 2) -> DeviceList:
-    base = ["CPU", "GPU"]
-    names = base[:count] + [f"DEVICE{i}" for i in range(2, count)]
-    return DeviceList(tuple(names))
 
 
 def init_placer(
@@ -88,22 +66,10 @@ def lift_placement(cluster_placement: np.ndarray, assign: AssignMatrix) -> np.nd
     return np.asarray(cluster_placement, dtype=np.intp)[assign.membership]
 
 
-def save_placement(
-    assignments: np.ndarray, devices: DeviceList, path: str | Path
-) -> None:
-    data = {
-        "assignments": [int(a) for a in assignments],
-        "devices": list(devices.names),
-    }
+def save_placement(assignments: np.ndarray, num_devices: int, path: str | Path) -> None:
+    """Write one device id per node and the device names CPU, GPU, DEVICE2, ..."""
+    names = ["CPU", "GPU"][:num_devices] + [f"DEVICE{i}" for i in range(2, num_devices)]
+    data = {"assignments": [int(a) for a in assignments], "devices": names}
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
-
-
-def load_placement(path: str | Path) -> tuple[np.ndarray, DeviceList]:
-    with open(path) as fh:
-        data = json.load(fh)
-    return (
-        np.asarray(data["assignments"], dtype=np.intp),
-        DeviceList(tuple(data["devices"])),
-    )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import CompGraph, SimulationPlan, volume  # volume stays importable from here
+from .graph import CompGraph, SimulationPlan
 
 
 class MissingCost(Exception):

@@ -406,14 +406,3 @@ class Trainer:
         assert best is not None
         return best, best_latency
 
-
-def train(
-    graph: CompGraph,
-    cm: CostModel,
-    cfg: TrainConfig = TrainConfig(),
-    model: ModelConfig = ModelConfig(),
-    features: FeatureConfig = FeatureConfig(),
-) -> TrainResult:
-    """Train a placement policy on `graph` against `cm`; returns the best
-    sampled placement, its latency, and the full step history."""
-    return Trainer(graph, cm, cfg, model, features).run()

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from dagplace.graph import CompGraph
+from dagplace.graph import CompGraph, volume
 from dagplace.partition import PooledGraph
 
 
@@ -47,8 +47,6 @@ def longest_path_latency(graph: CompGraph, placement, cm) -> float:
     """Independent simulator oracle: memoized recursion over predecessors
     instead of a forward topological sweep. It builds its own predecessor
     lists from the edges, so it shares nothing with the simulation plan."""
-    from dagplace.simulator import volume
-
     placement = np.asarray(placement, dtype=np.intp)
     preds: list[list[int]] = [[] for _ in range(graph.num_nodes)]
     for u, v in graph.edges:

@@ -4,14 +4,14 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagplace.cli import RunConfig, main
+from dagplace.cli import RunConfig, build_parser, main, resolve_config
 from dagplace.features import FeatureConfig
 from dagplace.fixtures import (
     dominant_device_fixture,
@@ -20,7 +20,6 @@ from dagplace.fixtures import (
     split_fixture,
 )
 from dagplace.graph import load_graph, save_graph
-from dagplace.policy import load_placement
 from dagplace.simulator import load_cost_model, save_cost_model, simulate, speedup
 from dagplace.training import ModelConfig, TrainConfig
 
@@ -269,14 +268,35 @@ def test_baselines_speedup_stays_finite_for_huge_latencies(tmp_path, capsys):
     assert all(math.isfinite(float(r[2])) for r in rows)
 
 
-def test_run_config_defaults_match_library_defaults():
-    # `dagplace train` with no flags must train what Trainer's own
+def _resolve(*flags):
+    args = build_parser().parse_args(["train", "--graph", "g", "--cost-model", "c", *flags])
+    return resolve_config(args)
+
+
+def test_train_defaults_and_flags_come_from_library_configs():
+    # `dagplace train` with no other flag trains what Trainer's own
     # defaults train, which the benchmark relies on
-    run = {f.name: f.default for f in fields(RunConfig)}
-    for library in (TrainConfig, ModelConfig, FeatureConfig):
-        for f in fields(library):
-            assert f.name in run, f"{library.__name__}.{f.name} has no train flag"
-            assert run[f.name] == f.default, f"{library.__name__}.{f.name}"
+    run, *library = _resolve()
+    assert run == RunConfig(graph="g", cost_model="c")
+    defaults = [TrainConfig(), ModelConfig(), FeatureConfig()]
+    assert library == defaults
+    # one non-default value per library field, set through its own flag
+    values = {
+        "max_episodes": 7, "update_timestep": 3, "k_epochs": 2, "gamma": 0.5,
+        "learning_rate": 0.01, "seed": 5, "use_baseline": True, "target_latency": 4.5,
+        "hidden_channel": 8, "layer_gnn": 3, "layer_trans": 1, "layer_parsingnet": 3,
+        "dropout_network": 0.1, "dropout_parsing": 0.3, "d_pos": 4, "pe_base": 100.0,
+    }
+    for i, default in enumerate(defaults):
+        for f in fields(default):
+            value = values.pop(f.name)
+            assert getattr(default, f.name) != value
+            flag = "--" + f.name.replace("_", "-")
+            _, *library = _resolve(*([flag] if value is True else [flag, str(value)]))
+            expected = list(defaults)
+            expected[i] = replace(default, **{f.name: value})
+            assert library == expected, flag
+    assert not values  # every listed field belongs to a library config
 
 
 def test_train_writes_artifacts(tmp_path, capsys, dominant_files):
@@ -302,9 +322,10 @@ def test_train_writes_artifacts(tmp_path, capsys, dominant_files):
         assert abs(float(row[2]) - speedup(base, float(row[1]))) <= 0.1
 
     # the saved placement is the better of the two trained rows, on raw nodes
-    assignments, devices = load_placement(out / "best_placement.json")
-    assert devices.names == ("CPU", "GPU")
-    assert assignments.shape == (6,)
+    placement = json.loads((out / "best_placement.json").read_text())
+    assert placement["devices"] == ["CPU", "GPU"]
+    assignments = placement["assignments"]
+    assert len(assignments) == 6
     graph = load_graph(graph_path)
     cm = load_cost_model(cm_path)
     trained = {r[0]: float(r[1]) for r in results[-2:]}
@@ -335,8 +356,8 @@ def test_train_no_colocate(tmp_path, dominant_files):
     code = main(["train", "--graph", graph_path, "--cost-model", cm_path,
                  "--out", str(out), "--no-colocate", *TRAIN_FLAGS])
     assert code == 0
-    assignments, _ = load_placement(out / "best_placement.json")
-    assert assignments.shape == (6,)
+    placement = json.loads((out / "best_placement.json").read_text())
+    assert len(placement["assignments"]) == 6
 
 
 def test_train_requires_graph_and_cost_model(capsys):
@@ -374,6 +395,22 @@ def test_config_file_and_flag_precedence(tmp_path, dominant_files):
     assert len(read_csv(out / "history.csv")) == 1 + 4
 
 
+def test_config_json_round_trips(tmp_path, dominant_files):
+    # a run's config.json, fed back through --config, repeats the run
+    graph_path, cm_path = dominant_files
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--graph", graph_path, "--cost-model", cm_path,
+                 "--out", str(a), "--seed", "4", "--no-colocate", "--use-baseline",
+                 "--gamma", "0.9", "--learning-rate", "0.01", *TRAIN_FLAGS]) == 0
+    assert main(["train", "--config", str(a / "config.json"), "--out", str(b)]) == 0
+    for name in ("history.csv", "results.csv", "best_placement.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    out_a, out_b = (f'"out": {json.dumps(str(path))}' for path in (a, b))
+    config_a = (a / "config.json").read_text()
+    assert out_a in config_a
+    assert (b / "config.json").read_text() == config_a.replace(out_a, out_b)
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys, dominant_files):
     graph_path, cm_path = dominant_files
     cfg_path = tmp_path / "cfg.json"
@@ -405,6 +442,14 @@ def test_config_file_rejects_wrong_value_type(tmp_path, capsys, dominant_files):
     }))
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "seed" in capsys.readouterr().err
+    # a ModelConfig and a FeatureConfig key are checked the same way
+    for key, value in (("hidden_channel", 1.5), ("d_pos", "16")):
+        cfg_path.write_text(json.dumps({
+            "graph": graph_path, "cost_model": cm_path, key: value,
+        }))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed config file {cfg_path}: {key} must be int, got {value!r}" in err
 
 
 def test_programming_error_in_a_command_exits_1(monkeypatch, capsys, split_files):

@@ -8,13 +8,10 @@ from dagplace.nn import Mlp
 from dagplace.partition import AssignMatrix
 from dagplace.policy import (
     PROB_FLOOR,
-    DeviceList,
-    default_devices,
     device_distribution,
     greedy_placement,
     init_placer,
     lift_placement,
-    load_placement,
     log_prob_of,
     sample_placement,
     save_placement,
@@ -30,15 +27,12 @@ def bias_only_placer(d_in: int, logits) -> Mlp:
     )
 
 
-def test_device_list_validation():
-    with pytest.raises(ValueError):
-        DeviceList(("CPU",))
-    assert DeviceList(("a", "b", "c")).count == 3
-
-
-def test_default_devices_names():
-    assert default_devices(2).names == ("CPU", "GPU")
-    assert default_devices(4).names == ("CPU", "GPU", "DEVICE2", "DEVICE3")
+def test_default_devices_names(tmp_path):
+    path = tmp_path / "placement.json"
+    save_placement(np.array([0, 1]), 2, path)
+    assert json.loads(path.read_text())["devices"] == ["CPU", "GPU"]
+    save_placement(np.array([3, 2]), 4, path)
+    assert json.loads(path.read_text())["devices"] == ["CPU", "GPU", "DEVICE2", "DEVICE3"]
 
 
 def test_init_placer_widths():
@@ -183,9 +177,7 @@ def test_lift_placement():
 
 def test_save_load_placement(tmp_path):
     path = tmp_path / "placement.json"
-    save_placement(np.array([0, 1, 1]), DeviceList(("CPU", "GPU")), path)
-    data = json.loads(path.read_text())
-    assert set(data) == {"assignments", "devices"}
-    assignments, devices = load_placement(path)
-    assert np.array_equal(assignments, [0, 1, 1])
-    assert devices.names == ("CPU", "GPU")
+    save_placement(np.array([0, 1, 1], dtype=np.intp), 2, path)
+    assert path.read_text() == (
+        '{\n "assignments": [\n  0,\n  1,\n  1\n ],\n "devices": [\n  "CPU",\n  "GPU"\n ]\n}\n'
+    )

@@ -12,7 +12,7 @@ from dagplace.fixtures import (
     split_fixture,
 )
 from dagplace import graph as graph_module
-from dagplace.graph import CompGraph, make_graph, topo_sort
+from dagplace.graph import CompGraph, make_graph, topo_sort, volume
 from dagplace.simulator import (
     BRUTE_FORCE_LIMIT,
     SEARCH_CHUNK,
@@ -27,7 +27,6 @@ from dagplace.simulator import (
     simulate,
     simulate_many,
     speedup,
-    volume,
 )
 from helpers import longest_path_latency, product_optimal
 

@@ -22,8 +22,6 @@ from dagplace.training import (
     ModelConfig,
     TrainConfig,
     Trainer,
-    TrainResult,
-    train,
 )
 from helpers import central_difference, max_rel_err
 
@@ -290,15 +288,6 @@ def test_k_epochs_applies_repeated_updates():
         for pa, pb in zip(a.parameters(), b.parameters())
     ]
     assert max(diffs) > 0.0
-
-
-def test_train_function_matches_trainer():
-    g, cm = dominant_device_fixture()
-    cfg = TrainConfig(max_episodes=1, update_timestep=3, seed=9)
-    res_fn = train(g, cm, cfg, SMALL, NARROW)
-    res_tr = Trainer(g, cm, cfg, SMALL, NARROW).run()
-    assert isinstance(res_fn, TrainResult)
-    assert res_fn.history == res_tr.history
 
 
 def test_composed_membership_always_spans_original_nodes():
