@@ -7,6 +7,10 @@ of the node's topological rank.
 
 Degree one-hot vocabularies are per graph: columns are the sorted distinct
 degree values present in that graph.
+
+The fractal column comes from one bit-parallel BFS from every node at once
+(`ball_sizes`): three n x ceil(n/64) uint64 bitsets, 3 * n * ceil(n/64) * 8
+bytes, plus an int32 table of ball sizes with one row per BFS level.
 """
 
 from __future__ import annotations
@@ -69,37 +73,81 @@ def _one_hot_values(values: list[int]) -> np.ndarray:
     return out
 
 
-def _ball_sizes(graph: CompGraph, v: int) -> np.ndarray:
-    """N(v, r) for r = 1, 2, ..., the eccentricity of v: the number of other
-    nodes within r undirected hops, from one level-by-level BFS."""
-    nbrs = graph.undirected_neighbors
-    seen = bytearray(graph.num_nodes)
-    seen[v] = 1
-    frontier = [v]
-    level_sizes = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        if nxt:
-            level_sizes.append(len(nxt))
-        frontier = nxt
-    return np.cumsum(level_sizes, dtype=np.int64)
+def fractal_dimensions(graph: CompGraph) -> np.ndarray:
+    """Mass-distribution fractal dimension of every node, shape (n,).
 
-
-def fractal_dimension(graph: CompGraph, v: int) -> float:
-    """Mass-distribution fractal dimension of node v.
-
-    Slope of the least-squares fit of log N(v, r) against log r, where r
-    ranges over the distinct undirected hop distances from v to reachable
-    nodes and N(v, r) counts nodes within distance r. Returns 0.0 when
-    fewer than two distinct distances exist.
+    For node v: the slope of the least-squares fit of log N(v, r) against
+    log r, where r ranges over the distinct undirected hop distances from v
+    to reachable nodes and N(v, r) counts the other nodes within distance
+    r. 0.0 when fewer than two distinct distances exist.
     """
-    counts = _ball_sizes(graph, v)
-    # BFS levels are contiguous, so the distinct distances are 1..len(counts)
+    return np.array([_fit_slope(b) for b in ball_sizes(graph)], dtype=np.float64)
+
+
+def ball_sizes(graph: CompGraph) -> list[np.ndarray]:
+    """N(v, r) for r = 1, 2, ..., the eccentricity of v, for every node v:
+    the number of other nodes within r undirected hops.
+
+    One BFS runs from every node at once on bitsets: row u, bit w of
+    `unreached` is set while w is farther than the current level from u.
+    Rows are ordered by degree, descending, so that neighbour slot k (every
+    row's k-th neighbour) is one contiguous OR over the rows with more than
+    k neighbours. Distance is symmetric, so a row's popcount of new bits is
+    that source's BFS level size.
+    """
+    n = graph.num_nodes
+    nbrs = graph.undirected_neighbors
+    deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
+    order = np.argsort(-deg, kind="stable")
+    row_of = np.empty(n, dtype=np.intp)
+    row_of[order] = np.arange(n)
+    deg = deg[order]
+    flat = row_of[
+        np.fromiter(
+            (w for u in order for w in nbrs[u]), dtype=np.intp, count=int(deg.sum())
+        )
+    ]
+    row_start = np.cumsum(deg) - deg
+    # slot k: the k-th neighbour of each row with more than k neighbours,
+    # which are the first `width` rows
+    widths = np.searchsorted(-deg, -np.arange(deg[0] if n else 0), side="left")
+    slots = [flat[row_start[:w] + k] for k, w in enumerate(widths.tolist())]
+
+    words = -(-n // 64)
+    diag = np.zeros((n, words), dtype=np.uint64)
+    diag[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (
+        np.arange(n, dtype=np.uint64) % np.uint64(64)
+    )
+    unreached = ~diag
+    frontier, nxt = diag, np.zeros_like(diag)
+    # after level r, reached[u] = N(u, r)
+    reached = np.zeros(n, dtype=np.int32)
+    level_balls = [reached]
+    while slots:
+        # mode="clip" writes straight into `out`; the default buffers it
+        np.take(frontier, slots[0], axis=0, out=nxt[: len(slots[0])], mode="clip")
+        for idx in slots[1:]:
+            np.bitwise_or(nxt[: len(idx)], frontier[idx], out=nxt[: len(idx)])
+        nxt &= unreached
+        unreached ^= nxt
+        counts = np.bitwise_count(nxt).sum(axis=1, dtype=np.int32)
+        if not counts.any():
+            break
+        reached = reached + counts
+        level_balls.append(reached)
+        frontier, nxt = nxt, frontier
+
+    balls = np.array(level_balls)  # balls[r, u] = N(u, r)
+    # N(u, r) grows strictly up to u's eccentricity and stays flat after it
+    ecc = np.count_nonzero(balls < balls[-1], axis=0)
+    return [
+        balls[1 : e + 1, u] for e, u in zip(ecc[row_of].tolist(), row_of.tolist())
+    ]
+
+
+def _fit_slope(counts: np.ndarray) -> float:
+    """Least-squares slope of log counts[r - 1] against log r, r >= 1;
+    0.0 for fewer than two points."""
     if len(counts) < 2:
         return 0.0
     x = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
@@ -142,10 +190,7 @@ def build_features(graph: CompGraph, cfg: FeatureConfig) -> np.ndarray:
     types = one_hot_types(graph)
     shapes = shape_features(graph)
     in_deg, out_deg = degree_one_hots(graph)
-    fractal = np.array(
-        [[fractal_dimension(graph, v)] for v in range(graph.num_nodes)],
-        dtype=np.float64,
-    ).reshape(graph.num_nodes, 1)
+    fractal = fractal_dimensions(graph).reshape(-1, 1)
     rank = graph.plan.topo.rank
     pos = np.vstack(
         [positional_encoding(rank[v], cfg) for v in range(graph.num_nodes)]

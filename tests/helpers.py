@@ -83,6 +83,44 @@ def product_optimal(graph: CompGraph, cm, num_devices: int | None = None):
     return best_placement, float(best_latency)
 
 
+def ball_sizes_reference(graph: CompGraph, v: int) -> np.ndarray:
+    """N(v, r) for r = 1, 2, ..., the eccentricity of v: the number of other
+    nodes within r undirected hops, from one level-by-level BFS."""
+    nbrs = graph.undirected_neighbors
+    seen = bytearray(graph.num_nodes)
+    seen[v] = 1
+    frontier = [v]
+    level_sizes = []
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    nxt.append(w)
+        if nxt:
+            level_sizes.append(len(nxt))
+        frontier = nxt
+    return np.cumsum(level_sizes, dtype=np.int64)
+
+
+def fractal_dimension_reference(graph: CompGraph, v: int) -> float:
+    """Bit-identity reference for one node's fractal dimension: one BFS from
+    v and the least-squares slope of log N(v, r) against log r."""
+    counts = ball_sizes_reference(graph, v)
+    # BFS levels are contiguous, so the distinct distances are 1..len(counts)
+    if len(counts) < 2:
+        return 0.0
+    x = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
+    y = np.log(counts.astype(np.float64))
+    if len(counts) == 2:
+        # two-point fit degenerates to the exact slope
+        return float((y[1] - y[0]) / (x[1] - x[0]))
+    xc = x - x.mean()
+    yc = y - y.mean()
+    return float(np.dot(xc, yc) / np.dot(xc, xc))
+
+
 def fractal_dimension_oracle(graph: CompGraph, v: int) -> float:
     """Independent fractal-dimension oracle: Floyd-Warshall distances plus
     a polyfit regression instead of BFS plus explicit covariance sums."""

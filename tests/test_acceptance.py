@@ -13,7 +13,7 @@ import pytest
 from dagplace.autograd import Tape, Tensor
 from dagplace.cli import main
 from dagplace.encoder import encode, init_gcn, normalize_adjacency
-from dagplace.features import fractal_dimension
+from dagplace.features import fractal_dimensions
 from dagplace.fixtures import (
     chain_graph,
     diamond_chain_graph,
@@ -224,7 +224,7 @@ def test_partition_invariants(capsys):
 
 
 def test_fractal_dimension_against_oracle(capsys):
-    """fractal_dimension matches an independent all-pairs-BFS regression to
+    """fractal_dimensions matches an independent all-pairs-BFS regression to
     1e-9 on 100 random graphs (at most 64 nodes); the center of a 5-node
     path scores exactly 1.0."""
 
@@ -238,13 +238,14 @@ def test_fractal_dimension_against_oracle(capsys):
                 graph = inception_like(max(n, 4), seed=case)
             else:
                 graph = random_dag(n, seed=case, avg_degree=1.3)
+            dims = fractal_dimensions(graph)
             for v in range(graph.num_nodes):
-                assert fractal_dimension(graph, v) == pytest.approx(
+                assert dims[v] == pytest.approx(
                     fractal_dimension_oracle(graph, v), abs=1e-9
                 )
 
         path = chain_graph(5)
-        assert fractal_dimension(path, 2) == 1.0
+        assert fractal_dimensions(path)[2] == 1.0
 
     _report(capsys, "fractal dimension oracle", check)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,26 @@ import pytest
 from dagplace.features import (
     FeatureConfig,
     TypeIndexOutOfRange,
+    ball_sizes,
     build_features,
     degree_one_hots,
-    fractal_dimension,
+    fractal_dimensions,
     one_hot_types,
     positional_encoding,
     shape_features,
 )
-from dagplace.fixtures import chain_graph, random_dag
-from dagplace.graph import CompGraph, OpNode, make_graph, topo_sort
-from helpers import fractal_dimension_oracle
+from dagplace.fixtures import (
+    chain_graph,
+    diamond_chain_graph,
+    inception_like,
+    random_dag,
+)
+from dagplace.graph import CompGraph, OpNode, colocate, make_graph, topo_sort
+from helpers import (
+    ball_sizes_reference,
+    fractal_dimension_oracle,
+    fractal_dimension_reference,
+)
 
 
 def star_graph(leaves: int) -> CompGraph:
@@ -70,16 +81,16 @@ def test_shape_features_right_pad():
 
 def test_fractal_dimension_path_center_is_exactly_one():
     g = chain_graph(5, seed=0)
-    assert fractal_dimension(g, 2) == 1.0
+    assert fractal_dimensions(g)[2] == 1.0
 
 
 def test_fractal_dimension_isolated_and_star():
     lone = make_graph([(0, 0, ())], [], num_op_types=1)
-    assert fractal_dimension(lone, 0) == 0.0
+    assert fractal_dimensions(lone)[0] == 0.0
     star = star_graph(4)
-    assert fractal_dimension(star, 0) == 0.0  # only radius 1 exists
+    assert fractal_dimensions(star)[0] == 0.0  # only radius 1 exists
     # a leaf sees the center at 1 and the other leaves at 2
-    leaf = fractal_dimension(star, 1)
+    leaf = fractal_dimensions(star)[1]
     expected = (math.log(4) - math.log(1)) / (math.log(2) - math.log(1))
     assert abs(leaf - expected) < 1e-12
 
@@ -88,16 +99,87 @@ def test_fractal_dimension_ignores_edge_direction():
     fwd = make_graph([(v, 0, ()) for v in range(3)], [(0, 1), (1, 2)], 1)
     rev = make_graph([(v, 0, ()) for v in range(3)], [(1, 0), (2, 1)], 1)
     for v in range(3):
-        assert fractal_dimension(fwd, v) == fractal_dimension(rev, v)
+        assert fractal_dimensions(fwd)[v] == fractal_dimensions(rev)[v]
 
 
 def test_fractal_dimension_matches_regression_oracle():
     for seed in range(25):
         g = random_dag(24, seed=seed)
+        dims = fractal_dimensions(g)
         for v in range(g.num_nodes):
-            ours = fractal_dimension(g, v)
+            ours = dims[v]
             ref = fractal_dimension_oracle(g, v)
             assert abs(ours - ref) < 1e-9, (seed, v)
+
+
+def components_graph() -> CompGraph:
+    """Isolated nodes between a 70-node path, a 3-leaf star, a 2-node edge
+    and a diamond: 90 nodes, so components straddle a word boundary."""
+    edges = [(v, v + 1) for v in range(2, 71)]  # path 2..71
+    edges += [(73, 74), (73, 75), (73, 76), (78, 79)]
+    edges += [(81, 82), (81, 83), (82, 84), (83, 84)]
+    return make_graph([(v, 0, ()) for v in range(90)], edges, num_op_types=1)
+
+
+def bit_boundary_graphs():
+    for n in (1, 2, 63, 64, 65, 127, 128, 129):
+        yield pytest.param(random_dag(n, seed=n), id=f"random_dag({n})")
+        yield pytest.param(chain_graph(n, seed=n), id=f"chain_graph({n})")
+    yield pytest.param(make_graph([], [], num_op_types=1), id="empty")
+    edgeless = make_graph([(v, 0, ()) for v in range(100)], [], num_op_types=1)
+    yield pytest.param(edgeless, id="edgeless")
+    yield pytest.param(components_graph(), id="components")
+    yield pytest.param(star_graph(100), id="star(100)")
+    for name, g in (
+        ("random_dag(300)", random_dag(300, seed=1)),
+        ("inception_like(300)", inception_like(300, seed=1)),
+    ):
+        yield pytest.param(g, id=name)
+        yield pytest.param(colocate(g)[0], id=f"{name} co-located")
+
+
+@pytest.mark.parametrize("g", list(bit_boundary_graphs()))
+def test_ball_sizes_equal_per_node_bfs(g):
+    """The all-sources bitset BFS gives every node the ball sizes and the
+    fractal dimension, bit for bit, of one BFS from that node, across
+    uint64 word boundaries and degenerate graphs."""
+    balls = ball_sizes(g)
+    dims = fractal_dimensions(g)
+    assert len(balls) == g.num_nodes and dims.shape == (g.num_nodes,)
+    for v in range(g.num_nodes):
+        assert np.array_equal(balls[v], ball_sizes_reference(g, v)), v
+        assert dims[v] == fractal_dimension_reference(g, v), v
+
+
+def test_fractal_dimension_multiword_oracle():
+    """Floyd-Warshall regression oracle on 65- to 160-node graphs, whose
+    rows span two or three uint64 words (every 5th node is checked)."""
+    for n in (65, 96, 129, 160):
+        for g in (
+            diamond_chain_graph(n, seed=n),
+            inception_like(n, seed=n),
+            random_dag(n, seed=n, avg_degree=1.3),
+        ):
+            dims = fractal_dimensions(g)
+            for v in range(0, g.num_nodes, 5):
+                ref = fractal_dimension_oracle(g, v)
+                assert dims[v] == pytest.approx(ref, abs=1e-9), (n, v)
+
+
+def test_fractal_dimensions_memory_below_one_byte_per_pair():
+    """The bitset BFS holds bits, not bytes, per node pair: on a co-located
+    2000-node random DAG its traced peak stays below n^2 bytes, which a
+    dense n x n bool matrix alone would reach."""
+    g = colocate(random_dag(2000, seed=0))[0]
+    g.undirected_neighbors  # the graph's own cache, built before tracing
+    assert g.num_nodes >= 1800
+    tracemalloc.start()
+    try:
+        fractal_dimensions(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.num_nodes**2, (peak, g.num_nodes**2)
 
 
 def test_positional_encoding_rank_zero():
@@ -135,7 +217,7 @@ def test_build_features_layout_and_segments(diamond):
     assert np.array_equal(in_deg, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert np.array_equal(out_deg, [[0, 0, 1], [0, 1, 0], [0, 1, 0], [1, 0, 0]])
     for v in range(4):
-        assert fractal[v, 0] == fractal_dimension(diamond, v)
+        assert fractal[v, 0] == fractal_dimensions(diamond)[v]
 
     rank = topo_sort(diamond).rank
     for v in range(4):
