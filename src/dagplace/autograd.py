@@ -5,6 +5,12 @@ replays them in reverse on backward(). Only the primitives the encoder,
 edge scorer, and placement head need are provided; everything is 2-D. The
 one sparse operand is a constant `SparseMatrix`, applied by `Tape.spmm`.
 
+Row sums by index share one kernel, `Passes`: the sparse product and its
+transpose, the cluster sums of `scatter_add_rows` and the backward of
+`gather_rows`. Each target row adds its terms in input order, as
+`np.add.at` would, so the sums are bit-identical to it. A relu followed by
+a dropout mask is one entry, `relu(a, keep)`.
+
 Gradients are kept only on the gradient path: a primitive's backward skips
 inputs that do not require a gradient, only tensors created with
 `requires_grad` (parameters) hold a buffer up front, and an intermediate's
@@ -64,10 +70,8 @@ class SparseMatrix:
     """A constant n x n matrix: its diagonal plus distinct off-diagonal
     entries weights[e] at (rows[e], cols[e]).
 
-    Products are segment sums. The entries are split into passes in which
-    no target row repeats, so each pass is one fancy-index `+=` (which adds
-    a repeated index only once); the passes for the product and for its
-    transpose are built here, once.
+    Products are segment sums over the entries (`Passes`); the plans for the
+    product and for its transpose are built here, once.
     """
 
     def __init__(
@@ -77,8 +81,8 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         weights = np.asarray(weights, dtype=np.float64)
-        self._passes = _passes(rows, cols, weights)
-        self._transposed_passes = _passes(cols, rows, weights)
+        self._passes = Passes(rows, cols, weights)
+        self._transposed_passes = Passes(cols, rows, weights)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,35 +90,65 @@ class SparseMatrix:
 
     @property
     def nbytes(self) -> int:
-        passes = self._passes + self._transposed_passes
-        return self.diag.nbytes + sum(a.nbytes for p in passes for a in p)
+        return self.diag.nbytes + self._passes.nbytes + self._transposed_passes.nbytes
 
     def apply(self, h: np.ndarray, transpose: bool = False) -> np.ndarray:
         """self @ h, or self.T @ h."""
-        out = self.diag[:, None] * h
         passes = self._transposed_passes if transpose else self._passes
-        for target, source, weight in passes:
-            out[target] += weight * h[source]
+        return passes.accumulate(self.diag[:, None] * h, h)
+
+
+class Passes:
+    """The sum out[target[e]] += weights[e] * h[source[e]] (weights 1 when
+    None), each target row adding its terms in input order, as `np.add.at`.
+
+    Pass k adds the k-th term of every target that has more than k terms.
+    Targets are kept most terms first, so pass k's are the first lengths[k]
+    of `rows`: a sum gathers those rows once, adds each pass as one
+    contiguous block of its terms (stored in pass order), and scatters back.
+    """
+
+    def __init__(
+        self, target: np.ndarray, source: np.ndarray, weights: np.ndarray | None = None
+    ):
+        by_target = target.argsort(kind="stable")
+        grouped = target[by_target]
+        first = grouped.searchsorted(grouped)
+        count = grouped.searchsorted(grouped, side="right") - first
+        step = np.arange(len(target)) - first  # the pass of each entry
+        # pass by pass; within a pass, targets with more entries first
+        by_count = (-count).argsort(kind="stable")
+        order = by_target[by_count[step[by_count].argsort(kind="stable")]]
+        self.lengths = np.bincount(step).tolist()
+        self.rows = target[order[: np.count_nonzero(step == 0)]]
+        self.source = source[order]
+        self.weights = None if weights is None else weights[order, None]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.rows, self.source, self.weights)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def accumulate(self, out: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Add every term to `out` in place; returns `out`."""
+        terms = h[self.source]
+        if self.weights is not None:
+            terms *= self.weights
+        acc = out[self.rows]
+        start = 0
+        for m in self.lengths:
+            acc[:m] += terms[start : start + m]
+            start += m
+        out[self.rows] = acc
         return out
 
 
-def _passes(target: np.ndarray, source: np.ndarray, weights: np.ndarray):
-    """Group entries into (target, source, weight column) passes with unique
-    targets: pass k holds every target's k-th entry in input order."""
-    if not len(target):
-        return []
-    by_target = np.argsort(target, kind="stable")
-    sorted_target = target[by_target]
-    first = np.searchsorted(sorted_target, sorted_target)
-    rank = np.empty(len(target), dtype=np.intp)
-    rank[by_target] = np.arange(len(target)) - first
-    by_rank = np.argsort(rank, kind="stable")
-    target, source, weights = target[by_rank], source[by_rank], weights[by_rank, None]
-    ends = np.cumsum(np.bincount(rank)).tolist()
-    return [
-        (target[a:b], source[a:b], weights[a:b])
-        for a, b in zip([0] + ends[:-1], ends)
-    ]
+def index_passes(idx) -> Passes:
+    """The sum out[idx[j]] += rows[j], as in `scatter_add_rows` and the
+    backward of `gather_rows`. A caller that sums by one index many times
+    builds this once and hands it in."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return Passes(idx, np.arange(len(idx)))
 
 
 class Tape:
@@ -125,7 +159,8 @@ class Tape:
     that does not require one. One tape serves one forward/backward pair
     and is single-threaded. backward consumes the tape: it pops each entry
     as it replays it, so every intermediate is released as soon as its
-    gradient has been handed on, and the tape is empty afterwards.
+    gradient has been handed on, and the tape is empty afterwards. The
+    upstream gradient belongs to backward_fn alone, which may overwrite it.
     """
 
     def __init__(self):
@@ -135,7 +170,7 @@ class Tape:
         return len(self._entries)
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], back) -> Tensor:
-        if any(t.requires_grad for t in inputs):
+        if any([t.requires_grad for t in inputs]):  # a list is faster for 1 or 2
             out.requires_grad = True
             self._entries.append((out, inputs, back))
         return out
@@ -192,9 +227,20 @@ class Tape:
         out = Tensor(a.data * c)
         return self._record(out, (a,), lambda g: (g * c,))
 
-    def relu(self, a: Tensor) -> Tensor:
-        out = Tensor(np.maximum(a.data, 0.0))
-        return self._record(out, (a,), lambda g: (g * (out.data > 0.0),))
+    def relu(self, a: Tensor, keep: np.ndarray | None = None) -> Tensor:
+        """max(a, 0), times a constant `keep` (a dropout mask) when given:
+        one entry that equals relu then mul, signed zeros included."""
+        y = np.maximum(a.data, 0.0)
+        if keep is not None:
+            y *= keep
+
+        def back(g):
+            if keep is not None:
+                g *= keep
+            g *= y > 0.0
+            return (g,)
+
+        return self._record(Tensor(y), (a,), back)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         # split by sign so exp never overflows
@@ -233,21 +279,21 @@ class Tape:
         out = Tensor(a.data[idx])
 
         def back(g):
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            return (acc,)
+            return (index_passes(idx).accumulate(np.zeros_like(a.data), g),)
 
         return self._record(out, (a,), back)
 
-    def scatter_add_rows(self, a: Tensor, idx, num_rows: int) -> Tensor:
-        """out[i] = sum of rows j of `a` with idx[j] == i; out has num_rows rows."""
+    def scatter_add_rows(self, a: Tensor, idx, num_rows: int, passes=None) -> Tensor:
+        """out[i] = sum of rows j of `a` with idx[j] == i; out has num_rows rows.
+
+        `passes` is `index_passes(idx)`, from a caller that keeps it."""
         idx = np.asarray(idx, dtype=np.intp)
         if idx.shape != (a.shape[0],):
             raise ShapeMismatch(f"scatter index length {idx.shape} for {a.shape}")
-        acc = np.zeros((num_rows, a.shape[1]), dtype=np.float64)
-        np.add.at(acc, idx, a.data)
-        out = Tensor(acc)
-        return self._record(out, (a,), lambda g: (g[idx],))
+        if passes is None:
+            passes = index_passes(idx)
+        acc = passes.accumulate(np.zeros((num_rows, a.shape[1])), a.data)
+        return self._record(Tensor(acc), (a,), lambda g: (g[idx],))
 
     def sum(self, a: Tensor) -> Tensor:
         out = Tensor([[a.data.sum()]])

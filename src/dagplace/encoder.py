@@ -71,10 +71,11 @@ def encode(
 ) -> Tensor:
     """Z = relu(norm @ ... relu(norm @ X @ W_0) ... @ W_{L-1}).
 
-    Dropout (training only: pass a generator) follows each layer.
+    Dropout (training only: pass a generator) follows each layer's relu,
+    in the same tape entry.
     """
     h = x
     for w in params.layers:
-        h = tape.relu(tape.matmul(tape.spmm(norm, h), w))
-        h = dropout_mask(tape, h, dropout, rng)
+        h = tape.matmul(tape.spmm(norm, h), w)
+        h = dropout_mask(tape, h, dropout, rng, relu=True)
     return h

@@ -46,10 +46,13 @@ def mlp_forward(tape: Tape, x: Tensor, mlp: Mlp) -> Tensor:
 
 
 def dropout_mask(
-    tape: Tape, x: Tensor, rate: float, rng: np.random.Generator | None
+    tape: Tape, x: Tensor, rate: float, rng: np.random.Generator | None, *, relu=False
 ) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no generator is given."""
+    """Inverted dropout of x, or of relu(x) with `relu` (one tape entry for
+    both); dropout is the identity when rate is 0 or no generator is given."""
     if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return tape.mul(x, Tensor(keep))
+        return tape.relu(x) if relu else x
+    keep = rng.random(x.shape)
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
+    return tape.relu(x, keep) if relu else tape.mul(x, Tensor(keep))

@@ -10,11 +10,13 @@ sums of member rows. Every level is an edge list, never a dense matrix.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor
+from .autograd import Tape, Tensor, index_passes
 from .graph import components, contract_edges
 from .nn import Mlp, mlp_forward
 
@@ -45,6 +47,12 @@ class AssignMatrix:
             used[0] < 0 or used[-1] >= self.num_clusters or len(used) != self.num_clusters
         ):
             raise ValueError("cluster ids must cover 0..num_clusters-1 exactly")
+
+    @functools.cached_property
+    def passes(self):
+        """The pooling sums' passes, built once: a step and every rebuild of
+        its record pool by the same membership."""
+        return index_passes(self.membership)
 
     def compose(self, finer: "AssignMatrix") -> "AssignMatrix":
         """Map this assignment's source nodes through a further coarsening."""
@@ -116,16 +124,33 @@ def retain_dominant_edges(scores: EdgeScores, graph) -> tuple[tuple[int, int], .
     """Keep, for each node, its highest-scoring incident edge (either direction).
 
     Score ties prefer the edge with the smaller source id, then smaller
-    destination id. The union over nodes has at most |V| edges.
+    destination id. The union over nodes has at most |V| edges. One lexsort
+    ranks the edges in that order; a node keeps its incident edge of least
+    rank, found by sorting the (node, rank) pairs of all edge ends.
     """
-    best: dict[int, tuple[float, tuple[int, int]]] = {}
-    for edge, s in zip(scores.edges, scores.tensor.data[:, 0]):
-        s = float(s)
-        for node in edge:
-            cur = best.get(node)
-            if cur is None or s > cur[0] or (s == cur[0] and edge < cur[1]):
-                best[node] = (s, edge)
-    return tuple(sorted({e for _, e in best.values()}))
+    e = len(scores.edges)
+    if not e:
+        return ()
+    n = graph.num_nodes
+    ends = np.fromiter(itertools.chain.from_iterable(scores.edges), np.intp, 2 * e)
+    key = ends[0::2] * n + ends[1::2]
+    # edges best first: higher score, then smaller (src, dst)
+    order = np.lexsort((key, -scores.tensor.data[:, 0]))
+    rank = np.empty(e, dtype=np.intp)
+    rank[order] = np.arange(e)
+    # (node, rank) of every edge end, sorted: a node's first is its best edge
+    ends = ends * e + rank.repeat(2)
+    ends.sort()
+    node, rank = np.divmod(ends, e)
+    first = np.empty(2 * e, dtype=bool)
+    first[0] = True
+    np.not_equal(node[1:], node[:-1], out=first[1:])
+    best = np.zeros(e, dtype=bool)
+    best[rank[first]] = True
+    kept = key[order[best]]
+    kept.sort()
+    src, dst = np.divmod(kept, n)
+    return tuple(zip(src.tolist(), dst.tolist()))
 
 
 def parse_clusters(retained, graph) -> AssignMatrix:
@@ -147,4 +172,6 @@ def pool(assign: AssignMatrix, graph: PooledGraph) -> PooledGraph:
 
 def pool_features(tape: Tape, z: Tensor, assign: AssignMatrix) -> Tensor:
     """Differentiable cluster feature sums (gradient flows to member rows)."""
-    return tape.scatter_add_rows(z, assign.membership, assign.num_clusters)
+    return tape.scatter_add_rows(
+        z, assign.membership, assign.num_clusters, assign.passes
+    )

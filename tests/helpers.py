@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from dagplace.autograd import Tensor
 from dagplace.graph import CompGraph, volume
 from dagplace.partition import PooledGraph
 
@@ -179,3 +180,47 @@ def dense_normalized(a) -> np.ndarray:
     a_hat = np.asarray(a, dtype=np.float64) + np.eye(len(a))
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+
+
+def retain_dominant_edges_reference(scores) -> tuple[tuple[int, int], ...]:
+    """Per-edge loop oracle for `retain_dominant_edges`: each node keeps its
+    highest-scoring incident edge, ties to the smaller (src, dst)."""
+    best: dict[int, tuple[float, tuple[int, int]]] = {}
+    for edge, s in zip(scores.edges, scores.tensor.data[:, 0]):
+        s = float(s)
+        for node in edge:
+            cur = best.get(node)
+            if cur is None or s > cur[0] or (s == cur[0] and edge < cur[1]):
+                best[node] = (s, edge)
+    return tuple(sorted({e for _, e in best.values()}))
+
+
+def add_at_reference(idx, rows, num_rows: int) -> np.ndarray:
+    """Row sums by index with sequential `np.add.at`: out[idx[j]] += rows[j]."""
+    out = np.zeros((num_rows, rows.shape[1]))
+    np.add.at(out, np.asarray(idx, dtype=np.intp), rows)
+    return out
+
+
+def scatter_add_rows_add_at(tape, a, idx, num_rows, passes=None):
+    """`Tape.scatter_add_rows` as it was before the pass kernel."""
+    idx = np.asarray(idx, dtype=np.intp)
+    out = Tensor(add_at_reference(idx, a.data, num_rows))
+    return tape._record(out, (a,), lambda g: (g[idx],))
+
+
+def gather_rows_add_at(tape, a, idx):
+    """`Tape.gather_rows` with the `np.add.at` backward it had before."""
+    idx = np.asarray(idx, dtype=np.intp)
+    out = Tensor(a.data[idx])
+    return tape._record(out, (a,), lambda g: (add_at_reference(idx, g, a.shape[0]),))
+
+
+def dropout_mask_unfused(tape, x, rate, rng, *, relu=False):
+    """`nn.dropout_mask` as two entries, relu then mul, with the mask built
+    as before: the float cast of the draw divided by the keep rate."""
+    h = tape.relu(x) if relu else x
+    if rate <= 0.0 or rng is None:
+        return h
+    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return tape.mul(h, Tensor(keep))

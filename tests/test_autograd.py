@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dagplace.autograd import (
     Adam,
@@ -12,7 +14,7 @@ from dagplace.autograd import (
     Tensor,
     parameter,
 )
-from helpers import central_difference, max_rel_err
+from helpers import add_at_reference, central_difference, max_rel_err
 
 
 def test_tensor_reshapes_vectors_to_rows():
@@ -138,6 +140,7 @@ def test_finite_differences_every_primitive():
     sparse = SparseMatrix(
         rng.normal(size=3), [0, 0, 1, 2, 2], [1, 2, 2, 1, 0], rng.normal(size=5)
     )
+    keep = np.array([[1.25, 0.0, 1.25, 1.25]] * 3)
 
     cases = [
         ("matmul", lambda t: t.sum(t.matmul(a, b)), [a, b]),
@@ -146,6 +149,7 @@ def test_finite_differences_every_primitive():
         ("mul", lambda t: t.sum(t.mul(a, c)), [a, c]),
         ("scale", lambda t: t.sum(t.scale(a, -1.7)), [a]),
         ("relu", lambda t: t.sum(t.relu(off)), [off]),
+        ("relu_dropout", lambda t: t.sum(t.mul(t.relu(off, keep), c)), [off]),
         ("sigmoid", lambda t: t.sum(t.sigmoid(a)), [a]),
         ("log", lambda t: t.sum(t.log(pos)), [pos]),
         ("softmax", lambda t: t.sum(t.mul(t.softmax_rows(a), c)), [a]),
@@ -163,6 +167,103 @@ def test_finite_differences_every_primitive():
         for p in params:
             p.zero_grad()
         _fd_case(name, build, params)
+
+
+def _with_zeros(rng, shape):
+    """Normal values with exact zeros of both signs mixed in."""
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def _gradient_target(data) -> Tensor:
+    """A tensor on the gradient path without a gradient buffer, so that its
+    grad is exactly the array backward hands it."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def row_sums(draw):
+    num_rows = draw(st.integers(1, 6))
+    idx = draw(st.lists(st.integers(0, num_rows - 1), max_size=24))
+    return num_rows, idx, draw(st.sampled_from([1, 128])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=row_sums())
+@example(case=(3, [], 1, 0))
+@example(case=(3, [], 128, 0))
+@example(case=(1, [0], 1, 1))
+@example(case=(4, [2], 128, 2))
+@example(case=(5, [3, 3, 0, 3, 0, 3], 128, 3))
+def test_row_sums_equal_sequential_add_at(case):
+    """scatter_add_rows forward and gather_rows backward add each row's
+    terms in index order: bit for bit `np.add.at`, signed zeros included,
+    with repeated indices, unused output rows and an empty index."""
+    num_rows, idx, width, seed = case
+    rng = np.random.default_rng(seed)
+    a = Tensor(_with_zeros(rng, (len(idx), width)))
+    out = Tape().scatter_add_rows(a, idx, num_rows)
+    assert _same_bits(out.data, add_at_reference(idx, a.data, num_rows))
+
+    upstream = _with_zeros(rng, (len(idx), width))
+    p = _gradient_target(rng.normal(size=(num_rows, width)))
+    tape = Tape()
+    tape.backward(tape.sum(tape.mul(tape.gather_rows(p, idx), Tensor(upstream))))
+    assert _same_bits(p.grad, add_at_reference(idx, upstream, num_rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    data=st.data(),
+    width=st.sampled_from([1, 128]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spmm_equals_sequential_add_at(n, data, width, seed):
+    """The product and its transpose add each row's entries in input order
+    onto the diagonal term, bit for bit as `np.add.at` would."""
+    pairs = [(r, c) for r in range(n) for c in range(n) if r != c]
+    entries = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = np.array([r for r, _ in entries], dtype=np.intp)
+    cols = np.array([c for _, c in entries], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    diag, weights = rng.random(n), rng.normal(size=len(entries))
+    h = _with_zeros(rng, (n, width))
+    m = SparseMatrix(diag, rows, cols, weights)
+    for target, source, transpose in ((rows, cols, False), (cols, rows, True)):
+        expected = diag[:, None] * h
+        np.add.at(expected, target, weights[:, None] * h[source])
+        assert _same_bits(m.apply(h, transpose=transpose), expected)
+
+
+def test_relu_with_keep_equals_relu_then_mul():
+    """relu(a, keep) is one entry with the value and input gradient of relu
+    then mul, bit for bit: exact zeros of both signs in the input, dropped
+    entries on either side of the kink, negative upstream gradients."""
+    rng = np.random.default_rng(5)
+    a = _with_zeros(rng, (40, 16))
+    keep = (rng.random(a.shape) >= 0.3) * (1.0 / 0.7)
+    upstream = _with_zeros(rng, a.shape)
+    results = []
+    for fused in (True, False):
+        x = _gradient_target(a.copy())
+        tape = Tape()
+        out = tape.relu(x, keep) if fused else tape.mul(tape.relu(x), Tensor(keep))
+        assert len(tape) == (1 if fused else 2)
+        tape.backward(tape.sum(tape.mul(out, Tensor(upstream))))
+        results.append((out.data, x.grad))
+    (fused_out, fused_grad), (plain_out, plain_grad) = results
+    assert _same_bits(fused_out, plain_out)
+    assert _same_bits(fused_grad, plain_grad)
+    assert (fused_grad < 0).any() and np.signbit(fused_grad[fused_grad == 0]).any()
 
 
 def test_constant_operand_gets_no_gradient():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dagplace.autograd import Tape, Tensor, parameter
 from dagplace.nn import Mlp, dropout_mask, glorot, init_mlp, mlp_forward
@@ -89,3 +90,18 @@ def test_dropout_gradient_is_the_mask():
     out = dropout_mask(tape, p, 0.5, np.random.default_rng(2))
     tape.backward(tape.sum(out))
     assert np.array_equal(p.grad, (out.data > 0) * 2.0)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.9])
+def test_dropout_keep_values_equal_the_cast_formula(rate):
+    """The mask built in place from the draw equals the float cast of the
+    draw divided by the keep rate, bit for bit, alone and after a relu."""
+    x = Tensor(np.ones((60, 50)))
+    reference = np.random.default_rng(4)
+    expected = (reference.random(x.shape) >= rate).astype(np.float64) / (1 - rate)
+    after = reference.random()
+    for relu in (False, True):
+        rng = np.random.default_rng(4)
+        out = dropout_mask(Tape(), x, rate, rng, relu=relu)
+        assert out.data.tobytes() == expected.tobytes()
+        assert rng.random() == after  # the same draws from the stream

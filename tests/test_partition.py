@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagplace.autograd import Tape, Tensor, parameter
 from dagplace.fixtures import random_dag
@@ -24,6 +26,7 @@ from helpers import (
     max_rel_err,
     one_hot,
     pooled_adjacency_oracle,
+    retain_dominant_edges_reference,
 )
 
 
@@ -149,6 +152,31 @@ def test_retain_bound_and_dedup():
         assert len(retained) == len(set(retained))
         assert len(retained) <= g.num_nodes
         assert retained == tuple(sorted(retained))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_retain_equals_per_edge_loop(n, data):
+    """The lexsort keeps each node's best edge with the loop's tie-break:
+    edges in any order, and scores from a few values so that ties abound."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    score = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    values = data.draw(st.lists(score, min_size=len(edges), max_size=len(edges)))
+    scores = EdgeScores(tuple(edges), Tensor(np.array(values).reshape(-1, 1)))
+    expected = retain_dominant_edges_reference(scores)
+    assert retain_dominant_edges(scores, FakeGraph(n, edges)) == expected
+
+
+def test_retain_equals_per_edge_loop_on_large_levels():
+    for seed in range(4):
+        g = random_dag(300, seed=seed)
+        rng = np.random.default_rng(seed)
+        # two decimals: many ties among ~300 edges
+        values = np.round(rng.random((g.num_edges, 1)), 2)
+        scores = EdgeScores(tuple(g.edges), Tensor(values))
+        expected = retain_dominant_edges_reference(scores)
+        assert retain_dominant_edges(scores, g) == expected
 
 
 def test_parse_clusters_no_edges_gives_singletons():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dagplace import encoder
 from dagplace.autograd import Tape, Tensor
 from dagplace.encoder import encode
 from dagplace.features import FeatureConfig
@@ -23,7 +24,13 @@ from dagplace.training import (
     TrainConfig,
     Trainer,
 )
-from helpers import central_difference, max_rel_err
+from helpers import (
+    central_difference,
+    dropout_mask_unfused,
+    gather_rows_add_at,
+    max_rel_err,
+    scatter_add_rows_add_at,
+)
 
 SMALL = ModelConfig(hidden_channel=8, dropout_network=0.0, dropout_parsing=0.0)
 NARROW = FeatureConfig(d_pos=4)
@@ -416,3 +423,40 @@ def test_update_memory_does_not_grow_with_the_buffer():
     buffer would hold every record's intermediates (about 4.5x here)."""
     short, long = _update_peak_bytes(2), _update_peak_bytes(16)
     assert long < 1.25 * short, (short, long)
+
+
+def _steps_and_update_with_dropout():
+    g = random_dag(300, seed=0)
+    cm = random_cost_model(g.num_op_types, 2, seed=0)
+    model = ModelConfig(dropout_network=0.2, dropout_parsing=0.3)
+    tr = Trainer(g, cm, TrainConfig(update_timestep=20), model, NARROW)
+    latencies = [tr.step().latency for _ in range(20)]
+    tr.update()
+    return latencies, [p.data.copy() for p in tr.parameters()]
+
+
+def test_update_equals_add_at_and_unfused_references(monkeypatch):
+    """The pass kernel and the one-entry relu+dropout change no bit of
+    training: 20 steps and an update give the latencies and parameters of
+    `np.add.at` row sums and separate relu and mul entries."""
+    latencies, params = _steps_and_update_with_dropout()
+    calls = {"scatter": 0, "dropout": 0}
+
+    def scatter(*args, **kwargs):
+        calls["scatter"] += 1
+        return scatter_add_rows_add_at(*args, **kwargs)
+
+    def dropout(*args, **kwargs):
+        calls["dropout"] += 1
+        return dropout_mask_unfused(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Tape, "scatter_add_rows", scatter)
+        m.setattr(Tape, "gather_rows", gather_rows_add_at)
+        m.setattr(encoder, "dropout_mask", dropout)
+        ref_latencies, ref_params = _steps_and_update_with_dropout()
+    # 20 steps plus 4 epochs of 20 rebuilds, two GCN layers each
+    assert calls == {"scatter": 100, "dropout": 200}
+    assert latencies == ref_latencies
+    for p, ref in zip(params, ref_params):
+        assert p.tobytes() == ref.tobytes()
