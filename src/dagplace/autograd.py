@@ -8,15 +8,20 @@ one sparse operand is a constant `SparseMatrix`, applied by `Tape.spmm`.
 Row sums by index share one kernel, `Passes`: the sparse product and its
 transpose, the cluster sums of `scatter_add_rows` and the backward of
 `gather_rows`. Each target row adds its terms in input order, as
-`np.add.at` would, so the sums are bit-identical to it. A relu followed by
-a dropout mask is one entry, `relu(a, keep)`.
+`np.add.at` would, so the sums are bit-identical to it. A dense layer,
+its bias, relu and dropout mask are one entry, `dense`, that keeps one
+output array: the same float operations in the same order as separate
+matmul, add_bias, relu and mul entries.
 
 Gradients are kept only on the gradient path: a primitive's backward skips
 inputs that do not require a gradient, only tensors created with
 `requires_grad` (parameters) hold a buffer up front, and an intermediate's
 gradient lives from the moment backward reaches it until its entry is
 replayed. Entries store no derived arrays (relu and clip_min rebuild their
-0/1 mask in backward), and backward drops each entry once it has replayed.
+0/1 mask in backward; dropout masks are bool), and backward drops each
+entry once it has replayed. A tape made with `record=False` computes the
+same values and records nothing, for forward passes that never run
+backward.
 """
 
 from __future__ import annotations
@@ -161,16 +166,22 @@ class Tape:
     as it replays it, so every intermediate is released as soon as its
     gradient has been handed on, and the tape is empty afterwards. The
     upstream gradient belongs to backward_fn alone, which may overwrite it.
+
+    With `record=False` the tape keeps no entries, so a forward pass holds
+    no intermediate beyond what its caller keeps; outputs then never
+    require a gradient.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], back) -> Tensor:
-        if any([t.requires_grad for t in inputs]):  # a list is faster for 1 or 2
+        # a list is faster than a generator for 1 or 2 inputs
+        if self.record and any([t.requires_grad for t in inputs]):
             out.requires_grad = True
             self._entries.append((out, inputs, back))
         return out
@@ -189,6 +200,43 @@ class Tape:
             )
 
         return self._record(out, (a, b), back)
+
+    def dense(self, a: Tensor, w: Tensor, bias: Tensor | None = None, *,
+              relu: bool = False, keep: np.ndarray | None = None,
+              rate: float = 0.0) -> Tensor:
+        """One layer as one entry: a @ w, plus the 1 x d row `bias`, then
+        max(., 0) with `relu`, then times the bool dropout mask `keep` and
+        1 / (1 - rate), each in place on the one output array. Values and
+        gradients equal those of matmul, add_bias, relu and mul entries
+        with the float mask keep / (1 - rate), signed zeros included."""
+        if a.shape[1] != w.shape[0]:
+            raise ShapeMismatch(f"dense {a.shape} @ {w.shape}")
+        if bias is not None and bias.shape != (1, w.shape[1]):
+            raise ShapeMismatch(f"dense bias {bias.shape} for {w.shape}")
+        y = a.data @ w.data
+        if bias is not None:
+            y += bias.data
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        if keep is not None:
+            scale = 1.0 / (1.0 - rate)
+            y *= keep
+            y *= scale
+
+        def back(g):
+            if keep is not None:
+                g *= keep
+                g *= scale
+            if relu:
+                g *= y > 0.0
+            return (
+                g @ w.data.T if a.requires_grad else None,
+                a.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0, keepdims=True) if bias is not None else None,
+            )
+
+        inputs = (a, w) if bias is None else (a, w, bias)
+        return self._record(Tensor(y), inputs, back)
 
     def spmm(self, m: SparseMatrix, a: Tensor) -> Tensor:
         """m @ a for a constant sparse m; the backward applies m.T."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autograd import SparseMatrix, Tape, Tensor, parameter
 from .graph import CompGraph
-from .nn import Mlp, dropout_mask, glorot, init_mlp
+from .nn import Mlp, glorot, init_mlp, keep_mask
 from .partition import PooledGraph
 
 
@@ -71,11 +71,11 @@ def encode(
 ) -> Tensor:
     """Z = relu(norm @ ... relu(norm @ X @ W_0) ... @ W_{L-1}).
 
-    Dropout (training only: pass a generator) follows each layer's relu,
-    in the same tape entry.
+    Dropout (training only: pass a generator) follows each layer's relu;
+    the product with W, the relu and the mask are one tape entry.
     """
     h = x
     for w in params.layers:
-        h = tape.matmul(tape.spmm(norm, h), w)
-        h = dropout_mask(tape, h, dropout, rng, relu=True)
+        keep = keep_mask((h.shape[0], w.shape[1]), dropout, rng)
+        h = tape.dense(tape.spmm(norm, h), w, relu=True, keep=keep, rate=dropout)
     return h

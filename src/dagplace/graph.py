@@ -15,6 +15,7 @@ the pooling of `dagplace.partition` both contract with it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -241,22 +242,24 @@ def components(n: int, pairs) -> tuple[np.ndarray, int]:
 
     Returns the component id of every node and the component count. Ids
     follow the ascending minimum member, so they do not depend on the
-    order of `pairs`.
+    order of `pairs`. Each round hooks, for every pair, the larger root of
+    its ends under the smaller, then jumps pointers until every node points
+    at a root. A parent is never larger than its child, so each root is the
+    minimum of its tree.
     """
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        # the smaller id stays root, so every root is its component's minimum
-        parent[max(ru, rv)] = min(ru, rv)
-    roots, membership = np.unique([find(v) for v in range(n)], return_inverse=True)
-    return membership.astype(np.intp), len(roots)
+    ends = np.fromiter(itertools.chain.from_iterable(pairs), np.intp)
+    u, v = ends[0::2], ends[1::2]
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if (ru == rv).all():
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root], int(np.count_nonzero(is_root))
 
 
 def contract_edges(

@@ -39,10 +39,17 @@ def mlp_forward(tape: Tape, x: Tensor, mlp: Mlp) -> Tensor:
     h = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = tape.add_bias(tape.matmul(h, w), b)
-        if i < last:
-            h = tape.relu(h)
+        h = tape.dense(h, w, b, relu=i < last)
     return h
+
+
+def keep_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout's bool mask, True where an entry is kept, from one
+    draw per entry; None (no dropout) when rate is 0 or no generator is
+    given. Kept entries are scaled by 1 / (1 - rate) where it is applied."""
+    if rate <= 0.0 or rng is None:
+        return None
+    return rng.random(shape) >= rate
 
 
 def dropout_mask(
@@ -50,9 +57,8 @@ def dropout_mask(
 ) -> Tensor:
     """Inverted dropout of x, or of relu(x) with `relu` (one tape entry for
     both); dropout is the identity when rate is 0 or no generator is given."""
-    if rate <= 0.0 or rng is None:
+    keep = keep_mask(x.shape, rate, rng)
+    if keep is None:
         return tape.relu(x) if relu else x
-    keep = rng.random(x.shape)
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
+    keep = keep * (1.0 / (1.0 - rate))
     return tape.relu(x, keep) if relu else tape.mul(x, Tensor(keep))

@@ -8,13 +8,18 @@ buffer of `update_timestep` steps; an update then rebuilds the surrogate
 loss -sum_i log_prob_i * gamma^i * reward_i under the current parameters
 `k_epochs` times, stepping Adam after each rebuild. Each rebuild runs one
 tape and one backward per record and sums the gradients, so an update needs
-the memory of one record, whatever the buffer length. When parsing
-collapses the state to a single cluster the state resets to the original
-graph, with the accumulated per-node embeddings as its features.
+the memory of one record, whatever the buffer length. Steps and greedy
+evaluation never run backward, so their tapes record nothing: a step keeps
+only what its record needs. Records share their state's features and
+normalized adjacency rather than copying them; the features are
+read-only. When parsing collapses the state to a single cluster the state
+resets to the original graph, with the accumulated per-node embeddings as
+its features.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +212,12 @@ class Trainer:
         self.identity = AssignMatrix(np.arange(graph.num_nodes), graph.num_nodes)
         self._enter(self.level0, self.x0, True, self.identity)
 
+    @functools.cached_property
+    def norm0(self) -> SparseMatrix:
+        """The original level's normalized adjacency, built by the first step
+        and shared by every reset, its records and every greedy evaluation."""
+        return normalize_adjacency(self.level0)
+
     def parameters(self):
         return [
             *self.projection.parameters(),
@@ -232,7 +243,9 @@ class Trainer:
         self._enter(self.level0, carried, False, self.identity)
 
     def _enter(self, level: PooledGraph, features, projects: bool, composed):
-        """Make the given level the state the next step parses."""
+        """Make the given level the state the next step parses. Its features
+        are made read-only: records share them instead of copying."""
+        features.flags.writeable = False
         self.state_level = level
         self.state_features = features
         self.state_projects = projects
@@ -257,7 +270,7 @@ class Trainer:
         """Encode one level, parse its scored edges into clusters, pool, and
         give every cluster a device distribution. Training draws dropout
         masks and drops edges; evaluation does neither."""
-        norm = normalize_adjacency(level)
+        norm = self.norm0 if level is self.level0 else normalize_adjacency(level)
         rng = self.dropout_rng if training else None
         z = self._encode(tape, features, projects, norm, rng)
         scores = score_edges(tape, z, level, self.phi)
@@ -270,8 +283,9 @@ class Trainer:
         return _Level(norm, assign, pooled, zp, dist, collapsed)
 
     def step(self) -> StepRecord:
-        """One parse/place/simulate interaction; appends to the buffer."""
-        tape = Tape()
+        """One parse/place/simulate interaction; appends to the buffer. The
+        log-probability is kept as a float, so the tape records nothing."""
+        tape = Tape(record=False)
         state = (self.state_level, self.state_features, self.state_projects)
         level = self._level(tape, *state, training=True)
         action, log_prob = sample_placement(tape, level.dist, self.action_rng)
@@ -292,7 +306,7 @@ class Trainer:
             latency=latency,
             num_clusters=level.assign.num_clusters,
             norm=level.norm,
-            features=np.array(self.state_features, copy=True),
+            features=self.state_features,
             use_projection=self.state_projects,
             assign=level.assign,
             action=action,
@@ -302,7 +316,7 @@ class Trainer:
         if level.collapsed:
             self._reset_to_original()
         else:
-            self._enter(level.pooled, level.zp.data.copy(), False, composed)
+            self._enter(level.pooled, level.zp.data, False, composed)
         return record
 
     def _baseline(self, records: list[StepRecord]) -> float:
@@ -392,8 +406,9 @@ class Trainer:
         composed = self.identity
         best: np.ndarray | None = None
         best_latency = float("inf")
+        tape = Tape(record=False)  # no backward, so nothing to keep
         for _ in range(self.graph.num_nodes):
-            level = self._level(Tape(), graph, features, projects, training=False)
+            level = self._level(tape, graph, features, projects, training=False)
             composed = composed.compose(level.assign)
             placement = lift_placement(greedy_placement(level.dist.data), composed)
             latency = simulate(self.graph, placement, self.cm)

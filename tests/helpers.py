@@ -216,11 +216,32 @@ def gather_rows_add_at(tape, a, idx):
     return tape._record(out, (a,), lambda g: (add_at_reference(idx, g, a.shape[0]),))
 
 
-def dropout_mask_unfused(tape, x, rate, rng, *, relu=False):
-    """`nn.dropout_mask` as two entries, relu then mul, with the mask built
-    as before: the float cast of the draw divided by the keep rate."""
-    h = tape.relu(x) if relu else x
-    if rate <= 0.0 or rng is None:
-        return h
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return tape.mul(h, Tensor(keep))
+def dense_unfused(tape, a, w, bias=None, *, relu=False, keep=None, rate=0.0):
+    """`Tape.dense` as the entries it replaced: matmul, add_bias, then relu,
+    relu times the float dropout mask keep / (1 - rate) as one entry, or a
+    mul by that mask without relu."""
+    h = tape.matmul(a, w)
+    if bias is not None:
+        h = tape.add_bias(h, bias)
+    if keep is None:
+        return tape.relu(h) if relu else h
+    keep = keep.astype(np.float64) / (1.0 - rate)
+    return tape.relu(h, keep) if relu else tape.mul(h, Tensor(keep))
+
+
+def components_reference(n: int, pairs) -> tuple[np.ndarray, int]:
+    """Per-pair union-find oracle for `graph.components`: the smaller root
+    stays root, and ids follow the ascending minimum member."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    roots, membership = np.unique([find(v) for v in range(n)], return_inverse=True)
+    return membership.astype(np.intp), len(roots)

@@ -14,7 +14,7 @@ from dagplace.autograd import (
     Tensor,
     parameter,
 )
-from helpers import add_at_reference, central_difference, max_rel_err
+from helpers import add_at_reference, central_difference, dense_unfused, max_rel_err
 
 
 def test_tensor_reshapes_vectors_to_rows():
@@ -61,6 +61,10 @@ def test_shape_mismatches():
         tape.scatter_add_rows(a, [0], num_rows=2)
     with pytest.raises(ShapeMismatch):
         tape.spmm(SparseMatrix(np.ones(3), [0], [1], [1.0]), b)
+    with pytest.raises(ShapeMismatch):
+        tape.dense(a, b)
+    with pytest.raises(ShapeMismatch):
+        tape.dense(b, b, Tensor(np.ones((1, 3))))
 
 
 def test_gradient_accumulates_across_reuse():
@@ -141,6 +145,10 @@ def test_finite_differences_every_primitive():
         rng.normal(size=3), [0, 0, 1, 2, 2], [1, 2, 2, 1, 0], rng.normal(size=5)
     )
     keep = np.array([[1.25, 0.0, 1.25, 1.25]] * 3)
+    d = Tensor(rng.normal(size=(3, 2)))
+    # a dense layer's pre-activations a @ b + bias stay away from the kink
+    assert np.abs(a.data @ b.data + bias.data).min() > 0.05
+    mask = np.array([[True, False]] * 3)
 
     cases = [
         ("matmul", lambda t: t.sum(t.matmul(a, b)), [a, b]),
@@ -150,6 +158,15 @@ def test_finite_differences_every_primitive():
         ("scale", lambda t: t.sum(t.scale(a, -1.7)), [a]),
         ("relu", lambda t: t.sum(t.relu(off)), [off]),
         ("relu_dropout", lambda t: t.sum(t.mul(t.relu(off, keep), c)), [off]),
+        ("dense", lambda t: t.sum(t.mul(t.dense(a, b, bias), d)), [a, b, bias]),
+        (
+            "dense_relu_dropout",
+            lambda t: t.sum(t.mul(
+                t.dense(a, b, bias, relu=True, keep=mask, rate=0.2), d
+            )),
+            [a, b, bias],
+        ),
+        ("dense_no_bias", lambda t: t.sum(t.dense(a, b, relu=True)), [a, b]),
         ("sigmoid", lambda t: t.sum(t.sigmoid(a)), [a]),
         ("log", lambda t: t.sum(t.log(pos)), [pos]),
         ("softmax", lambda t: t.sum(t.mul(t.softmax_rows(a), c)), [a]),
@@ -264,6 +281,53 @@ def test_relu_with_keep_equals_relu_then_mul():
     assert _same_bits(fused_out, plain_out)
     assert _same_bits(fused_grad, plain_grad)
     assert (fused_grad < 0).any() and np.signbit(fused_grad[fused_grad == 0]).any()
+
+
+def _dense_inputs(rng, n=40, d_in=12, d_out=16):
+    """Inputs whose pre-activations hold exact zeros of both signs: zero rows
+    of `a`, a zero column of `w`, and bias entries 0.0 and -0.0."""
+    a = _with_zeros(rng, (n, d_in))
+    a[::7] = 0.0
+    a[3::7] = -0.0
+    w = rng.normal(size=(d_in, d_out))
+    w[:, 5] = 0.0
+    bias = rng.normal(size=(1, d_out))
+    bias[0, :3] = [0.0, -0.0, 0.0]
+    bias[0, 5] = -0.0
+    return a, w, bias
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize(
+    "relu,dropout", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_dense_equals_unfused_chains(with_bias, relu, dropout):
+    """dense is one entry with the value and the gradients of every input of
+    matmul -> add_bias (-> relu), and of matmul -> relu(keep) with the float
+    mask, bit for bit: signed zeros in the input, dropped entries on either
+    side of the kink, negative upstream gradients."""
+    rng = np.random.default_rng(6)
+    a, w, bias = _dense_inputs(rng)
+    keep = rng.random((len(a), w.shape[1])) >= 0.3 if dropout else None
+    upstream = _with_zeros(rng, (len(a), w.shape[1]))
+    results = []
+    for fused in (True, False):
+        x, wt, bt = (_gradient_target(v.copy()) for v in (a, w, bias))
+        b = bt if with_bias else None
+        tape = Tape()
+        if fused:
+            out = tape.dense(x, wt, b, relu=relu, keep=keep, rate=0.3)
+        else:
+            out = dense_unfused(tape, x, wt, b, relu=relu, keep=keep, rate=0.3)
+        assert len(tape) == (1 if fused else 1 + with_bias + (relu or dropout))
+        tape.backward(tape.sum(tape.mul(out, Tensor(upstream))))
+        results.append([out.data, x.grad, wt.grad] + ([bt.grad] if with_bias else []))
+    (out, a_grad, w_grad, *_), plain = results
+    assert all(_same_bits(f, p) for f, p in zip(results[0], plain))
+    assert (a_grad < 0).any()
+    if relu:
+        assert (out == 0).any()
+        assert not w_grad[:, 5].any()  # a column that relu zeroes everywhere
 
 
 def test_constant_operand_gets_no_gradient():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dagplace.fixtures import chain_graph, random_dag
@@ -15,12 +15,14 @@ from dagplace.graph import (
     OpNode,
     SelfLoop,
     colocate,
+    components,
     load_graph,
     make_graph,
     save_graph,
     topo_sort,
     validate,
 )
+from helpers import components_reference
 
 
 def test_make_graph_accepts_tuples_and_opnodes():
@@ -236,6 +238,53 @@ def test_colocate_membership_is_well_formed(n, seed):
         cu, cv = membership[u], membership[v]
         if cu != cv:
             assert (cu, cv) in coarse.edges
+
+
+@st.composite
+def pair_lists(draw):
+    """A node count and undirected pairs: random pairs (repeats and
+    self-pairs included), chains through a random node order, or both."""
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cut = draw(st.integers(1, n))
+        pairs += list(zip(order[: cut - 1], order[1:cut]))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_lists())
+@example(case=(0, []))
+@example(case=(6, []))
+@example(case=(6, [(4, 5)]))
+@example(case=(5, [(4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_components_equal_union_find(case):
+    """Ids and count equal the per-pair union-find's: ids follow each
+    component's minimum member, isolated nodes are singletons."""
+    n, pairs = case
+    ids, count = components(n, pairs)
+    expected_ids, expected_count = components_reference(n, pairs)
+    assert count == expected_count
+    assert ids.dtype == np.intp and np.array_equal(ids, expected_ids)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_components_of_long_chains(n):
+    """One chain in ascending, descending and shuffled node order (from a
+    generator, as co-location passes it) is one component."""
+    rng = np.random.default_rng(n)
+    for order in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
+        pairs = ((int(a), int(b)) for a, b in zip(order, order[1:]))
+        ids, count = components(n, pairs)
+        assert count == 1 and np.array_equal(ids, np.zeros(n, dtype=np.intp))
+    # two interleaved chains: even and odd nodes
+    pairs = [(v, v + 2) for v in range(n - 2)]
+    ids, count = components(n, pairs)
+    assert (count, ids.tolist()) == (min(n, 2), [v % 2 for v in range(n)])
 
 
 def test_save_load_round_trip(tmp_path, diamond):

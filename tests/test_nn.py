@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dagplace.autograd import Tape, Tensor, parameter
-from dagplace.nn import Mlp, dropout_mask, glorot, init_mlp, mlp_forward
+from dagplace.nn import Mlp, dropout_mask, glorot, init_mlp, keep_mask, mlp_forward
 from helpers import central_difference, max_rel_err
 
 
@@ -105,3 +105,33 @@ def test_dropout_keep_values_equal_the_cast_formula(rate):
         out = dropout_mask(Tape(), x, rate, rng, relu=relu)
         assert out.data.tobytes() == expected.tobytes()
         assert rng.random() == after  # the same draws from the stream
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.9])
+def test_bool_mask_equals_the_float_keep(rate):
+    """keep_mask makes the same draws the float mask was built from, and a
+    dense layer applying it as `*= mask` then `*= 1 / (1 - rate)` equals
+    `*= keep` with the float mask, bit for bit, on infinities, NaN and
+    zeros of both signs too, with and without relu."""
+    shape = (60, 50)
+    reference = np.random.default_rng(4)
+    keep = reference.random(shape)  # the float mask, built as it was
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
+    rng = np.random.default_rng(4)
+    mask = keep_mask(shape, rate, rng)
+    assert mask.dtype == bool and rng.random() == reference.random()
+
+    data = np.random.default_rng(5)
+    a, w = Tensor(data.normal(size=(60, 8))), Tensor(data.normal(size=(8, 50)))
+    bias = data.normal(size=(1, 50))
+    bias[0, :5] = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+    a.data[:2] = 0.0  # rows equal to the bias alone
+    pre = a.data @ w.data + bias
+    for relu in (False, True):
+        with np.errstate(invalid="ignore"):  # inf times a dropped entry
+            out = Tape().dense(a, w, Tensor(bias), relu=relu, keep=mask, rate=rate)
+            expected = (np.maximum(pre, 0.0) if relu else pre) * keep
+        assert out.data.tobytes() == expected.tobytes()
+    assert np.isnan(out.data).any() and np.isinf(out.data).any()
+

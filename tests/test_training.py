@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagplace import encoder
+from dagplace import encoder, training
 from dagplace.autograd import Tape, Tensor
 from dagplace.encoder import encode
 from dagplace.features import FeatureConfig
@@ -26,7 +26,7 @@ from dagplace.training import (
 )
 from helpers import (
     central_difference,
-    dropout_mask_unfused,
+    dense_unfused,
     gather_rows_add_at,
     max_rel_err,
     scatter_add_rows_add_at,
@@ -162,6 +162,102 @@ def test_evaluate_greedy_is_pure():
         a.evaluate_greedy()
         b.step()
     assert [r.latency for r in a.buffer] == [r.latency for r in b.buffer]
+
+
+def _rollouts(force_record: bool):
+    """Eight steps and one greedy evaluation with dropout on, keeping every
+    tape the trainer makes; `force_record` makes each one record."""
+    tapes = []
+
+    class KeptTape(Tape):
+        def __init__(self, record=True):
+            super().__init__(record or force_record)
+            tapes.append(self)
+
+    g = random_dag(60, seed=2)
+    cm = random_cost_model(g.num_op_types, 3, seed=2)
+    model = ModelConfig(hidden_channel=8, dropout_network=0.3, dropout_parsing=0.2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "Tape", KeptTape)
+        tr = Trainer(g, cm, TrainConfig(update_timestep=8), model, NARROW)
+        records = [tr.step() for _ in range(8)]
+        greedy = tr.evaluate_greedy()
+    return tr, records, greedy, tapes
+
+
+def test_rollouts_record_nothing_and_equal_recording_tapes():
+    """Steps and greedy evaluation never run backward, so their tapes keep
+    no entries, and they compute what recording tapes do, bit for bit: the
+    records, the carried embeddings, the greedy placement and the update
+    that follows."""
+    tr, records, greedy, tapes = _rollouts(force_record=False)
+    assert len(tapes) > len(records) and all(len(t) == 0 for t in tapes)
+    ref, ref_records, ref_greedy, ref_tapes = _rollouts(force_record=True)
+    assert all(len(t) > 0 for t in ref_tapes)
+    for rec, r in zip(records, ref_records, strict=True):
+        assert (rec.log_prob, rec.latency) == (r.log_prob, r.latency)
+        assert rec.features.tobytes() == r.features.tobytes()
+        assert np.array_equal(rec.action, r.action)
+        assert np.array_equal(rec.assign.membership, r.assign.membership)
+    assert tr.z_acc.tobytes() == ref.z_acc.tobytes()
+    assert np.array_equal(greedy[0], ref_greedy[0]) and greedy[1] == ref_greedy[1]
+    tr.update()
+    ref.update()
+    for p, q in zip(tr.parameters(), ref.parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+def test_stored_state_features_are_read_only():
+    """Records share their state's features instead of copying them, so an
+    in-place write to a stored feature array raises."""
+    tr = small_trainer()
+    records = [tr.step() for _ in range(4)]
+    arrays = [tr.x0, tr.state_features] + [r.features for r in records]
+    assert any(r.features is tr.x0 for r in records)
+    for features in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            features *= 2.0
+
+
+def test_original_level_operator_is_built_once(monkeypatch):
+    """The first step builds the original level's normalized adjacency;
+    later restarts, their records and greedy evaluation share it."""
+    built = []
+
+    def normalize(level):
+        built.append(level)
+        return encoder.normalize_adjacency(level)
+
+    monkeypatch.setattr(training, "normalize_adjacency", normalize)
+    tr = small_trainer()
+    records = [tr.step() for _ in range(12)]
+    tr.evaluate_greedy()
+    tr.evaluate_greedy()
+    at_level0 = [r for r in records if r.norm.shape[0] == tr.graph.num_nodes]
+    assert len(at_level0) >= 3  # the first step and at least two restarts
+    assert all(r.norm is tr.norm0 for r in at_level0)
+    assert [level is tr.level0 for level in built].count(True) == 1
+
+
+def test_evaluate_greedy_peak_memory():
+    """A greedy level on a non-recording tape keeps a few n x hidden arrays
+    alive at once (about 4.7 of them at 400 nodes); a recording tape kept
+    every layer's output, input and mask until the level ended (about 20)."""
+    g = random_dag(400, seed=0)
+    cm = random_cost_model(g.num_op_types, 2, seed=0)
+    hidden = 32
+    tr = Trainer(g, cm, TrainConfig(), ModelConfig(hidden_channel=hidden), NARROW)
+    tr.evaluate_greedy()  # builds the original level's operator once
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tr.evaluate_greedy()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.num_nodes * hidden * 8, peak
 
 
 def test_greedy_placement_covers_graph():
@@ -436,9 +532,10 @@ def _steps_and_update_with_dropout():
 
 
 def test_update_equals_add_at_and_unfused_references(monkeypatch):
-    """The pass kernel and the one-entry relu+dropout change no bit of
+    """The pass kernel and the one-entry dense layer change no bit of
     training: 20 steps and an update give the latencies and parameters of
-    `np.add.at` row sums and separate relu and mul entries."""
+    `np.add.at` row sums, separate matmul, add_bias and relu entries, and
+    relu with a float dropout mask."""
     latencies, params = _steps_and_update_with_dropout()
     calls = {"scatter": 0, "dropout": 0}
 
@@ -446,14 +543,14 @@ def test_update_equals_add_at_and_unfused_references(monkeypatch):
         calls["scatter"] += 1
         return scatter_add_rows_add_at(*args, **kwargs)
 
-    def dropout(*args, **kwargs):
-        calls["dropout"] += 1
-        return dropout_mask_unfused(*args, **kwargs)
+    def dense(*args, **kwargs):
+        calls["dropout"] += kwargs.get("keep") is not None
+        return dense_unfused(*args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(Tape, "scatter_add_rows", scatter)
         m.setattr(Tape, "gather_rows", gather_rows_add_at)
-        m.setattr(encoder, "dropout_mask", dropout)
+        m.setattr(Tape, "dense", dense)
         ref_latencies, ref_params = _steps_and_update_with_dropout()
     # 20 steps plus 4 epochs of 20 rebuilds, two GCN layers each
     assert calls == {"scatter": 100, "dropout": 200}
