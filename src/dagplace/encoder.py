@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import SparseMatrix, Tape, Tensor, parameter
-from .graph import CompGraph
 from .nn import Mlp, glorot, init_mlp, keep_mask
 from .partition import PooledGraph
 
@@ -40,16 +39,14 @@ def init_projection(rng: np.random.Generator, d_in: int, hidden: int, layers: in
     return init_mlp(rng, [d_in] + [hidden] * layers)
 
 
-def normalize_adjacency(graph: CompGraph | PooledGraph) -> SparseMatrix:
+def normalize_adjacency(level: PooledGraph) -> SparseMatrix:
     """Self-loop normalized adjacency D^{-1/2} (A + I) D^{-1/2}, sparse.
 
     Degrees are row sums of A + I (out-degree + 1), applied to the directed
     adjacency as-is, so D_ii >= 1 always holds. Edge (u, v) weighs
     D_uu^{-1/2} D_vv^{-1/2} and the self-loops form the diagonal 1 / D_ii.
-    Accepts a graph or a coarsening level (pooled levels may be cyclic,
-    which is fine here).
+    Pooled levels may be cyclic, which is fine here.
     """
-    level = graph if isinstance(graph, PooledGraph) else PooledGraph.of(graph)
     degree = np.bincount(level.src, minlength=level.num_nodes) + 1.0
     d_inv_sqrt = 1.0 / np.sqrt(degree)
     return SparseMatrix(

@@ -15,6 +15,7 @@ bytes, plus an int32 table of ball sizes with one row per BFS level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class FeatureConfig:
     def __post_init__(self):
         if self.d_pos < 2 or self.d_pos % 2 != 0:
             raise ValueError(f"d_pos must be even and >= 2, got {self.d_pos}")
-        if self.pe_base <= 0:
-            raise ValueError(f"pe_base must be positive, got {self.pe_base}")
+        if not 0 < self.pe_base < math.inf:
+            raise ValueError(f"pe_base must be positive and finite, got {self.pe_base}")
 
 
 def one_hot_types(graph: CompGraph) -> np.ndarray:

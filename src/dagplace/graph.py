@@ -15,7 +15,6 @@ the pooling of `dagplace.partition` both contract with it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -237,18 +236,17 @@ def _find_cycle(graph: CompGraph, remaining: set[int]) -> list[int]:
         path.append(v)
 
 
-def components(n: int, pairs) -> tuple[np.ndarray, int]:
-    """Connected components of nodes 0..n-1 under the undirected `pairs`.
+def components(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of nodes 0..n-1 under the undirected pairs
+    (u[i], v[i]), given as two index arrays of equal length.
 
     Returns the component id of every node and the component count. Ids
     follow the ascending minimum member, so they do not depend on the
-    order of `pairs`. Each round hooks, for every pair, the larger root of
-    its ends under the smaller, then jumps pointers until every node points
-    at a root. A parent is never larger than its child, so each root is the
-    minimum of its tree.
+    order of the pairs. Each round hooks, for every pair, the larger root
+    of its ends under the smaller, then jumps pointers until every node
+    points at a root. A parent is never larger than its child, so each root
+    is the minimum of its tree.
     """
-    ends = np.fromiter(itertools.chain.from_iterable(pairs), np.intp)
-    u, v = ends[0::2], ends[1::2]
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]
@@ -277,26 +275,27 @@ def contract_edges(
 def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     """Merge sole-parent/sole-child chains into single coarse nodes.
 
-    Scanning nodes in topological order, v and its successor w fall into the
-    same co-location set when w is the only out-neighbor of v and v is the
-    only in-neighbor of w; merging is transitive along such chains. A merged
-    set keeps the rounded mean of its members' op_type indices (ties round
-    down) and the output shape of its topologically last member. One pass
-    reaches the fixed point: each set is a path whose interior endpoints have
-    no other edges, so contraction never creates new mergeable pairs.
+    An edge (v, w) is a chain pair when w is the only out-neighbor of v and
+    v is the only in-neighbor of w, so one mask over the edge array (the
+    out-degree of src is 1 and the in-degree of dst is 1) picks them all.
+    Chain pairs fall into the same co-location set, transitively along
+    chains. A merged set keeps the rounded mean of its members' op_type
+    indices (ties round down) and the output shape of its topologically
+    last member. One pass reaches the fixed point: each set is a path whose
+    interior endpoints have no other edges, so contraction never creates
+    new mergeable pairs.
 
     Returns the coarse graph and a membership list mapping node id to
     coarse id; coarse ids are numbered by ascending minimum member id.
     """
+    n = graph.num_nodes
     order = graph.plan.topo
-    succ, pred = graph.neighbors.succ, graph.neighbors.pred
-
-    pairs = (
-        (v, succ[v][0])
-        for v in order.order
-        if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    chain = (np.bincount(src, minlength=n)[src] == 1) & (
+        np.bincount(dst, minlength=n)[dst] == 1
     )
-    ids, count = components(graph.num_nodes, pairs)
+    ids, count = components(n, src[chain], dst[chain])
     membership = ids.tolist()
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, c in enumerate(membership):
@@ -310,9 +309,8 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
         last = max(group, key=lambda v: order.rank[v])
         coarse_nodes.append(OpNode(i, op_type, graph.nodes[last].output_shape))
 
-    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    src, dst = contract_edges(ids, count, edges[:, 0], edges[:, 1])
-    coarse_edges = tuple(zip(src.tolist(), dst.tolist()))
+    coarse_src, coarse_dst = contract_edges(ids, count, src, dst)
+    coarse_edges = tuple(zip(coarse_src.tolist(), coarse_dst.tolist()))
     coarse = CompGraph(tuple(coarse_nodes), coarse_edges, graph.num_op_types)
     validate(coarse)
     return coarse, membership

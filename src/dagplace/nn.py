@@ -51,14 +51,3 @@ def keep_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray
         return None
     return rng.random(shape) >= rate
 
-
-def dropout_mask(
-    tape: Tape, x: Tensor, rate: float, rng: np.random.Generator | None, *, relu=False
-) -> Tensor:
-    """Inverted dropout of x, or of relu(x) with `relu` (one tape entry for
-    both); dropout is the identity when rate is 0 or no generator is given."""
-    keep = keep_mask(x.shape, rate, rng)
-    if keep is None:
-        return tape.relu(x) if relu else x
-    keep = keep * (1.0 / (1.0 - rate))
-    return tape.relu(x, keep) if relu else tape.mul(x, Tensor(keep))

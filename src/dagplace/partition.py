@@ -5,13 +5,15 @@ node retains only its single highest-scoring incident edge (counting both
 directions), and the weakly connected components of the retained edge set
 become the clusters. Pooling contracts clusters into super-nodes: each edge
 (u, v) lifts to the cluster pair (m[u], m[v]), and cluster features are the
-sums of member rows. Every level is an edge list, never a dense matrix.
+sums of member rows. Every level is an edge list, never a dense matrix,
+and every edge set in the cascade (scored, dropped, retained) is an index
+array: `src`/`dst` arrays on a level, (E, 2) arrays of (src, dst) rows
+elsewhere.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +25,10 @@ from .nn import Mlp, mlp_forward
 
 @dataclass
 class EdgeScores:
-    """Scores in (0, 1), one per edge, aligned with `edges` order."""
+    """Scores in (0, 1), one per row of `edges`, an (E, 2) intp array of
+    (src, dst) pairs."""
 
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     tensor: Tensor  # |E| x 1, on tape
 
 
@@ -79,10 +82,6 @@ class PooledGraph:
     def num_edges(self) -> int:
         return len(self.src)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.src.tolist(), self.dst.tolist()))
-
     def two_cycle_pairs(self) -> int:
         """Unordered node pairs joined by edges in both directions."""
         n = self.num_nodes
@@ -91,18 +90,12 @@ class PooledGraph:
         return int(np.isin(reversed_up, self.src * n + self.dst).sum())
 
 
-def score_edges(tape: Tape, z: Tensor, graph, phi: Mlp) -> EdgeScores:
-    """sigmoid(phi(z_src * z_dst)) for every edge of `graph`.
-
-    `graph` needs `.edges` and `.num_nodes`; self-loops are never scored
-    because valid graphs have none.
-    """
-    edges = tuple(graph.edges)
-    if not edges:
+def score_edges(tape: Tape, z: Tensor, level: PooledGraph, phi: Mlp) -> EdgeScores:
+    """sigmoid(phi(z_src * z_dst)) for every edge of `level`, in its order."""
+    edges = np.stack((level.src, level.dst), axis=1)
+    if not level.num_edges:
         return EdgeScores(edges, Tensor(np.zeros((0, 1))))
-    src = [u for u, _ in edges]
-    dst = [v for _, v in edges]
-    pair = tape.mul(tape.gather_rows(z, src), tape.gather_rows(z, dst))
+    pair = tape.mul(tape.gather_rows(z, level.src), tape.gather_rows(z, level.dst))
     raw = mlp_forward(tape, pair, phi)
     return EdgeScores(edges, tape.sigmoid(raw))
 
@@ -111,28 +104,28 @@ def drop_edges(
     scores: EdgeScores, rate: float, rng: np.random.Generator | None
 ) -> EdgeScores:
     """Randomly exclude edges from retention (training-time regularizer)."""
-    if rate <= 0.0 or rng is None or not scores.edges:
+    if rate <= 0.0 or rng is None or not len(scores.edges):
         return scores
     keep = rng.random(len(scores.edges)) >= rate
     if keep.all():
         return scores
-    kept = tuple(e for e, k in zip(scores.edges, keep) if k)
-    return EdgeScores(kept, Tensor(scores.tensor.data[keep]))
+    return EdgeScores(scores.edges[keep], Tensor(scores.tensor.data[keep]))
 
 
-def retain_dominant_edges(scores: EdgeScores, graph) -> tuple[tuple[int, int], ...]:
+def retain_dominant_edges(scores: EdgeScores, graph) -> np.ndarray:
     """Keep, for each node, its highest-scoring incident edge (either direction).
 
     Score ties prefer the edge with the smaller source id, then smaller
     destination id. The union over nodes has at most |V| edges. One lexsort
     ranks the edges in that order; a node keeps its incident edge of least
-    rank, found by sorting the (node, rank) pairs of all edge ends.
+    rank, found by sorting the (node, rank) pairs of all edge ends. Returns
+    the kept (src, dst) rows as an (m, 2) array in row-major order.
     """
     e = len(scores.edges)
     if not e:
-        return ()
+        return scores.edges
     n = graph.num_nodes
-    ends = np.fromiter(itertools.chain.from_iterable(scores.edges), np.intp, 2 * e)
+    ends = scores.edges.ravel()
     key = ends[0::2] * n + ends[1::2]
     # edges best first: higher score, then smaller (src, dst)
     order = np.lexsort((key, -scores.tensor.data[:, 0]))
@@ -149,18 +142,18 @@ def retain_dominant_edges(scores: EdgeScores, graph) -> tuple[tuple[int, int], .
     best[rank[first]] = True
     kept = key[order[best]]
     kept.sort()
-    src, dst = np.divmod(kept, n)
-    return tuple(zip(src.tolist(), dst.tolist()))
+    return np.stack(np.divmod(kept, n), axis=1)
 
 
-def parse_clusters(retained, graph) -> AssignMatrix:
-    """Weakly connected components of the retained edges as clusters.
+def parse_clusters(retained: np.ndarray, level) -> AssignMatrix:
+    """Weakly connected components of the retained (m, 2) edge rows as
+    clusters of the nodes of `level`.
 
     Isolated nodes become singleton clusters. Cluster ids follow the
     ascending minimum member node id, so the result is independent of the
     order in which retained edges are supplied.
     """
-    return AssignMatrix(*components(graph.num_nodes, retained))
+    return AssignMatrix(*components(level.num_nodes, retained[:, 0], retained[:, 1]))
 
 
 def pool(assign: AssignMatrix, graph: PooledGraph) -> PooledGraph:

@@ -20,6 +20,7 @@ its features.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,16 @@ class TrainConfig:
             raise ValueError("max_episodes, update_timestep, k_epochs must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.target_latency is not None and self.target_latency <= 0:
-            raise ValueError("target_latency must be positive")
+        if self.target_latency is not None and not 0 < self.target_latency < math.inf:
+            raise ValueError(
+                f"target_latency must be positive and finite, got {self.target_latency}"
+            )
 
 
 @dataclass

@@ -182,6 +182,16 @@ def dense_normalized(a) -> np.ndarray:
     return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
 
 
+def edge_array(pairs) -> np.ndarray:
+    """An (E, 2) intp array of (src, dst) rows from pairs in any iterable."""
+    return np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+
+
+def edge_pairs(edges: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (src, dst) rows of an (E, 2) edge array as a tuple of pairs."""
+    return tuple(map(tuple, edges.tolist()))
+
+
 def retain_dominant_edges_reference(scores) -> tuple[tuple[int, int], ...]:
     """Per-edge loop oracle for `retain_dominant_edges`: each node keeps its
     highest-scoring incident edge, ties to the smaller (src, dst)."""
@@ -245,3 +255,16 @@ def components_reference(n: int, pairs) -> tuple[np.ndarray, int]:
         parent[max(ru, rv)] = min(ru, rv)
     roots, membership = np.unique([find(v) for v in range(n)], return_inverse=True)
     return membership.astype(np.intp), len(roots)
+
+
+def colocate_membership_reference(graph: CompGraph) -> list[int]:
+    """Co-location membership from a scan in topological order: v and its
+    only successor w pair up when v is w's only predecessor, and the pairs'
+    components, numbered by minimum member, are the co-location sets."""
+    succ, pred = graph.neighbors.succ, graph.neighbors.pred
+    pairs = (
+        (v, succ[v][0])
+        for v in graph.plan.topo.order
+        if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
+    )
+    return components_reference(graph.num_nodes, pairs)[0].tolist()

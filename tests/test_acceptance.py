@@ -43,6 +43,7 @@ from helpers import (
     fractal_dimension_oracle,
     longest_path_latency,
     dense_from_edges,
+    edge_array,
     max_rel_err,
     one_hot,
     pooled_adjacency_oracle,
@@ -76,7 +77,8 @@ def test_gradient_integrity(capsys):
     def check():
         start = time.monotonic()
         graph = random_dag(6, seed=3)
-        norm = normalize_adjacency(graph)
+        level = PooledGraph.of(graph)
+        norm = normalize_adjacency(level)
         worst = 0.0
 
         for seed in range(10):
@@ -108,7 +110,7 @@ def test_gradient_integrity(capsys):
 
             def run_scorer():
                 tape = Tape()
-                scores = score_edges(tape, z_in, graph, phi)
+                scores = score_edges(tape, z_in, level, phi)
                 return tape, tape.sum(scores.tensor)
 
             tape, loss = run_scorer()
@@ -194,7 +196,7 @@ def test_partition_invariants(capsys):
                 seed=case,
                 avg_degree=float(rng.choice([0.8, 1.05, 1.5])),
             )
-            edges = tuple(graph.edges)
+            edges = edge_array(graph.edges)
             scores = EdgeScores(
                 edges, Tensor(rng.uniform(0.0, 1.0, (len(edges), 1)))
             )

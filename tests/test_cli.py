@@ -452,6 +452,25 @@ def test_config_file_rejects_wrong_value_type(tmp_path, capsys, dominant_files):
         assert f"malformed config file {cfg_path}: {key} must be int, got {value!r}" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["learning_rate", "target_latency", "pe_base"])
+def test_non_finite_setting_is_a_usage_error(tmp_path, capsys, dominant_files, key, value):
+    """A NaN or infinite float setting exits 2, as a flag and as a value in
+    the config file (which JSON writes as NaN or Infinity)."""
+    graph_path, cm_path = dominant_files
+    out = ["--out", str(tmp_path / "run")]
+    assert main(["train", "--graph", graph_path, "--cost-model", cm_path, *out,
+                 f"--{key.replace('_', '-')}={value}"]) == 2
+    assert key in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "graph": graph_path, "cost_model": cm_path, key: float(value),
+    }))
+    assert main(["train", "--config", str(cfg_path), *out]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_programming_error_in_a_command_exits_1(monkeypatch, capsys, split_files):
     import dagplace.cli as cli
 

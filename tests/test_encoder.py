@@ -25,20 +25,16 @@ def as_dense(norm) -> np.ndarray:
 
 def test_normalize_single_node():
     g = make_graph([(0, 0, ())], [], num_op_types=1)
-    assert np.array_equal(as_dense(normalize_adjacency(g)), [[1.0]])
+    assert np.array_equal(as_dense(normalize_adjacency(PooledGraph.of(g))), [[1.0]])
 
 
 def test_normalize_single_edge_by_hand():
     g = make_graph([(0, 0, ()), (1, 0, ())], [(0, 1)], num_op_types=1)
     # A+I = [[1,1],[0,1]], row sums [2,1]
     expected = np.array([[0.5, 1.0 / np.sqrt(2.0)], [0.0, 1.0]])
-    assert np.allclose(as_dense(normalize_adjacency(g)), expected, atol=1e-15)
-
-
-def test_normalize_accepts_level_and_graph(diamond):
-    a = normalize_adjacency(diamond)
-    b = normalize_adjacency(PooledGraph.of(diamond))
-    assert np.array_equal(as_dense(a), as_dense(b))
+    assert np.allclose(
+        as_dense(normalize_adjacency(PooledGraph.of(g))), expected, atol=1e-15
+    )
 
 
 def test_normalize_handles_pooled_two_cycle():
@@ -88,7 +84,7 @@ def test_init_sizes():
 def test_encode_matches_straight_line_numpy():
     rng = np.random.default_rng(11)
     g = random_dag(8, seed=2)
-    norm = normalize_adjacency(g)
+    norm = normalize_adjacency(PooledGraph.of(g))
     gcn = init_gcn(rng, [5, 5, 5])
     x = rng.normal(size=(8, 5))
     out = encode(Tape(), Tensor(x), norm, gcn)
@@ -104,7 +100,7 @@ def test_encode_activates_final_layer():
     g = random_dag(6, seed=0)
     gcn = init_gcn(rng, [3, 3, 3])
     x = rng.normal(size=(6, 3))
-    out = encode(Tape(), Tensor(x), normalize_adjacency(g), gcn)
+    out = encode(Tape(), Tensor(x), normalize_adjacency(PooledGraph.of(g)), gcn)
     assert (out.data >= 0.0).all()
     assert (out.data == 0.0).any()  # relu clipped something
 
@@ -118,7 +114,7 @@ def test_encode_permutation_equivariance():
     gcn = init_gcn(rng, [4, 4, 4])
     perm = rng.permutation(n)
     p = np.eye(n)[perm]
-    z = encode(Tape(), Tensor(x), normalize_adjacency(g), gcn)
+    z = encode(Tape(), Tensor(x), normalize_adjacency(PooledGraph.of(g)), gcn)
     permuted = level_from_dense(p @ a @ p.T)
     z_perm = encode(Tape(), Tensor(p @ x), normalize_adjacency(permuted), gcn)
     assert np.allclose(z_perm.data, p @ z.data, atol=1e-12)
@@ -127,7 +123,7 @@ def test_encode_permutation_equivariance():
 def test_encode_finite_differences():
     rng = np.random.default_rng(21)
     g = random_dag(5, seed=4)
-    norm = normalize_adjacency(g)
+    norm = normalize_adjacency(PooledGraph.of(g))
     gcn = init_gcn(rng, [3, 3, 3])
     x = Tensor(rng.normal(size=(5, 3)))
 
@@ -148,7 +144,7 @@ def test_encode_finite_differences():
 def test_encode_dropout_reproducible_and_optional():
     rng = np.random.default_rng(8)
     g = random_dag(6, seed=5)
-    norm = normalize_adjacency(g)
+    norm = normalize_adjacency(PooledGraph.of(g))
     gcn = init_gcn(rng, [4, 4])
     x = Tensor(rng.normal(size=(6, 4)))
     a = encode(Tape(), x, norm, gcn, dropout=0.5, rng=np.random.default_rng(7))

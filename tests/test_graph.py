@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagplace.fixtures import chain_graph, random_dag
+from dagplace.fixtures import chain_graph, diamond_chain_graph, inception_like, random_dag
 from dagplace.graph import (
     CompGraph,
     CycleDetected,
@@ -22,7 +22,7 @@ from dagplace.graph import (
     topo_sort,
     validate,
 )
-from helpers import components_reference
+from helpers import colocate_membership_reference, components_reference, edge_array
 
 
 def test_make_graph_accepts_tuples_and_opnodes():
@@ -182,6 +182,29 @@ def test_colocate_mixed_graph_membership():
     assert coarse.edges == ((0, 1), (0, 2))
 
 
+def _colocate_cases():
+    for n in (1, 2, 7, 40, 300):
+        for seed in range(3):
+            yield pytest.param(random_dag(n, seed=seed), id=f"random_dag({n})-{seed}")
+            yield pytest.param(
+                random_dag(n, seed=seed, avg_degree=0.8), id=f"sparse_dag({n})-{seed}"
+            )
+            yield pytest.param(inception_like(n, seed=seed), id=f"inception_like({n})-{seed}")
+            yield pytest.param(
+                diamond_chain_graph(n, seed=seed), id=f"diamond_chain({n})-{seed}"
+            )
+    yield pytest.param(inception_like(1000), id="inception_like(1000)")
+    yield pytest.param(random_dag(2000), id="random_dag(2000)")
+
+
+@pytest.mark.parametrize("graph", list(_colocate_cases()))
+def test_colocate_membership_equals_topological_scan(graph):
+    """The edge mask finds the same co-location sets as the scan in
+    topological order that pairs each node with its only successor."""
+    _, membership = colocate(graph)
+    assert membership == colocate_membership_reference(graph)
+
+
 @pytest.mark.parametrize(
     "types,expected",
     [
@@ -266,7 +289,7 @@ def test_components_equal_union_find(case):
     """Ids and count equal the per-pair union-find's: ids follow each
     component's minimum member, isolated nodes are singletons."""
     n, pairs = case
-    ids, count = components(n, pairs)
+    ids, count = components(n, *edge_array(pairs).T)
     expected_ids, expected_count = components_reference(n, pairs)
     assert count == expected_count
     assert ids.dtype == np.intp and np.array_equal(ids, expected_ids)
@@ -274,16 +297,15 @@ def test_components_equal_union_find(case):
 
 @pytest.mark.parametrize("n", [1, 2, 5000])
 def test_components_of_long_chains(n):
-    """One chain in ascending, descending and shuffled node order (from a
-    generator, as co-location passes it) is one component."""
+    """One chain in ascending, descending and shuffled node order (as two
+    index arrays, as co-location passes it) is one component."""
     rng = np.random.default_rng(n)
     for order in (np.arange(n), np.arange(n)[::-1], rng.permutation(n)):
-        pairs = ((int(a), int(b)) for a, b in zip(order, order[1:]))
-        ids, count = components(n, pairs)
+        ids, count = components(n, order[:-1], order[1:])
         assert count == 1 and np.array_equal(ids, np.zeros(n, dtype=np.intp))
     # two interleaved chains: even and odd nodes
-    pairs = [(v, v + 2) for v in range(n - 2)]
-    ids, count = components(n, pairs)
+    v = np.arange(n - 2)
+    ids, count = components(n, v, v + 2)
     assert (count, ids.tolist()) == (min(n, 2), [v % 2 for v in range(n)])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dagplace.autograd import Tape, Tensor, parameter
-from dagplace.nn import Mlp, dropout_mask, glorot, init_mlp, keep_mask, mlp_forward
+from dagplace.nn import Mlp, glorot, init_mlp, keep_mask, mlp_forward
 from helpers import central_difference, max_rel_err
 
 
@@ -68,16 +68,19 @@ def test_mlp_forward_finite_differences():
 
 
 def test_dropout_identity_paths():
+    """No mask without a rate or a generator; a dense layer without a mask
+    applies no dropout."""
     x = Tensor([[1.0, 2.0]])
-    tape = Tape()
-    assert dropout_mask(tape, x, 0.0, np.random.default_rng(0)) is x
-    assert dropout_mask(tape, x, 0.5, None) is x
+    assert keep_mask(x.shape, 0.0, np.random.default_rng(0)) is None
+    assert keep_mask(x.shape, 0.5, None) is None
+    out = Tape().dense(x, Tensor(np.eye(2)), keep=None, rate=0.5)
+    assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_scales_kept_entries():
-    tape = Tape()
     x = Tensor(np.ones((200, 10)))
-    out = dropout_mask(tape, x, 0.25, np.random.default_rng(0))
+    keep = keep_mask(x.shape, 0.25, np.random.default_rng(0))
+    out = Tape().dense(x, Tensor(np.eye(10)), keep=keep, rate=0.25)
     vals = np.unique(out.data)
     assert set(vals.tolist()) == {0.0, 1.0 / 0.75}
     # inverted scaling keeps the expectation near 1
@@ -87,22 +90,24 @@ def test_dropout_scales_kept_entries():
 def test_dropout_gradient_is_the_mask():
     tape = Tape()
     p = parameter(np.ones((3, 3)))
-    out = dropout_mask(tape, p, 0.5, np.random.default_rng(2))
+    keep = keep_mask(p.shape, 0.5, np.random.default_rng(2))
+    out = tape.dense(p, Tensor(np.eye(3)), keep=keep, rate=0.5)
     tape.backward(tape.sum(out))
     assert np.array_equal(p.grad, (out.data > 0) * 2.0)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.9])
 def test_dropout_keep_values_equal_the_cast_formula(rate):
-    """The mask built in place from the draw equals the float cast of the
-    draw divided by the keep rate, bit for bit, alone and after a relu."""
+    """keep_mask's draw, applied by a dense layer, equals the float cast of
+    the draw divided by the keep rate, bit for bit, alone and after a relu."""
     x = Tensor(np.ones((60, 50)))
     reference = np.random.default_rng(4)
     expected = (reference.random(x.shape) >= rate).astype(np.float64) / (1 - rate)
     after = reference.random()
     for relu in (False, True):
         rng = np.random.default_rng(4)
-        out = dropout_mask(Tape(), x, rate, rng, relu=relu)
+        keep = keep_mask(x.shape, rate, rng)
+        out = Tape().dense(x, Tensor(np.eye(50)), relu=relu, keep=keep, rate=rate)
         assert out.data.tobytes() == expected.tobytes()
         assert rng.random() == after  # the same draws from the stream
 

@@ -22,6 +22,8 @@ from dagplace.partition import (
 from helpers import (
     central_difference,
     dense_from_edges,
+    edge_array,
+    edge_pairs,
     level_from_dense,
     max_rel_err,
     one_hot,
@@ -32,7 +34,8 @@ from helpers import (
 
 def manual_scores(scored: dict[tuple[int, int], float]) -> EdgeScores:
     edges = tuple(scored)
-    return EdgeScores(edges, Tensor(np.array([[scored[e]] for e in edges])))
+    tensor = Tensor(np.array([[scored[e]] for e in edges]))
+    return EdgeScores(edge_array(edges), tensor)
 
 
 def zero_phi(width: int) -> Mlp:
@@ -71,15 +74,15 @@ def test_assign_compose():
 def test_score_edges_zero_net_gives_half():
     z = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
     g = FakeGraph(4, [(0, 1), (1, 2), (2, 3)])
-    scores = score_edges(Tape(), z, g, zero_phi(3))
-    assert scores.edges == g.edges
+    scores = score_edges(Tape(), z, PooledGraph.of(g), zero_phi(3))
+    assert edge_pairs(scores.edges) == g.edges
     assert np.array_equal(scores.tensor.data, np.full((3, 1), 0.5))
 
 
 def test_score_edges_empty_graph():
     z = Tensor(np.zeros((3, 2)))
-    scores = score_edges(Tape(), z, FakeGraph(3, []), zero_phi(2))
-    assert scores.edges == ()
+    scores = score_edges(Tape(), z, PooledGraph.of(FakeGraph(3, [])), zero_phi(2))
+    assert edge_pairs(scores.edges) == ()
     assert scores.tensor.shape == (0, 1)
 
 
@@ -87,9 +90,9 @@ def test_score_edges_matches_manual_formula():
     rng = np.random.default_rng(3)
     z = Tensor(rng.normal(size=(5, 4)))
     phi = init_mlp(rng, [4, 1])
-    g = FakeGraph(5, [(0, 3), (2, 4)])
+    g = PooledGraph.of(FakeGraph(5, [(0, 3), (2, 4)]))
     scores = score_edges(Tape(), z, g, phi)
-    for (u, v), got in zip(scores.edges, scores.tensor.data[:, 0]):
+    for (u, v), got in zip(edge_pairs(scores.edges), scores.tensor.data[:, 0]):
         raw = (z.data[u] * z.data[v]) @ phi.weights[0].data + phi.biases[0].data
         assert got == pytest.approx(1.0 / (1.0 + np.exp(-raw[0, 0])), abs=1e-12)
 
@@ -107,8 +110,8 @@ def test_drop_edges_removes_aligned_rows():
     scores = manual_scores(scored)
     rng = np.random.default_rng(1)
     kept = drop_edges(scores, 0.5, rng)
-    assert set(kept.edges) < set(scores.edges)
-    for e, s in zip(kept.edges, kept.tensor.data[:, 0]):
+    assert set(edge_pairs(kept.edges)) < set(edge_pairs(scores.edges))
+    for e, s in zip(edge_pairs(kept.edges), kept.tensor.data[:, 0]):
         assert scored[e] == s
 
 
@@ -117,11 +120,11 @@ def test_retain_keeps_per_node_best_edge():
     retained = retain_dominant_edges(
         manual_scores({(0, 1): 0.9, (1, 2): 0.3}), FakeGraph(3, [(0, 1), (1, 2)])
     )
-    assert retained == ((0, 1), (1, 2))  # node 2 still keeps (1, 2)
+    assert edge_pairs(retained) == ((0, 1), (1, 2))  # node 2 still keeps (1, 2)
 
     star = {(0, 1): 0.5, (0, 2): 0.7, (0, 3): 0.6}
     retained = retain_dominant_edges(manual_scores(star), FakeGraph(4, list(star)))
-    assert retained == ((0, 1), (0, 2), (0, 3))
+    assert edge_pairs(retained) == ((0, 1), (0, 2), (0, 3))
 
 
 def test_retain_tie_prefers_smaller_edge():
@@ -129,7 +132,7 @@ def test_retain_tie_prefers_smaller_edge():
         manual_scores({(1, 2): 0.7, (0, 1): 0.7}), FakeGraph(3, [(0, 1), (1, 2)])
     )
     # node 1 ties; (0, 1) < (1, 2) wins, node 2 keeps its only edge
-    assert retained == ((0, 1), (1, 2))
+    assert edge_pairs(retained) == ((0, 1), (1, 2))
 
 
 def test_retain_considers_both_directions():
@@ -138,7 +141,7 @@ def test_retain_considers_both_directions():
         manual_scores({(0, 1): 0.2, (1, 2): 0.9}), FakeGraph(3, [(0, 1), (1, 2)])
     )
     # node 0's only incident edge survives even though node 1 prefers (1, 2)
-    assert retained == ((0, 1), (1, 2))
+    assert edge_pairs(retained) == ((0, 1), (1, 2))
 
 
 def test_retain_bound_and_dedup():
@@ -148,7 +151,7 @@ def test_retain_bound_and_dedup():
         scores = manual_scores(
             {e: float(s) for e, s in zip(g.edges, rng.uniform(0.01, 0.99, g.num_edges))}
         )
-        retained = retain_dominant_edges(scores, g)
+        retained = edge_pairs(retain_dominant_edges(scores, g))
         assert len(retained) == len(set(retained))
         assert len(retained) <= g.num_nodes
         assert retained == tuple(sorted(retained))
@@ -163,9 +166,11 @@ def test_retain_equals_per_edge_loop(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     score = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
     values = data.draw(st.lists(score, min_size=len(edges), max_size=len(edges)))
-    scores = EdgeScores(tuple(edges), Tensor(np.array(values).reshape(-1, 1)))
-    expected = retain_dominant_edges_reference(scores)
-    assert retain_dominant_edges(scores, FakeGraph(n, edges)) == expected
+    tensor = Tensor(np.array(values).reshape(-1, 1))
+    expected = retain_dominant_edges_reference(EdgeScores(tuple(edges), tensor))
+    scores = EdgeScores(edge_array(edges), tensor)
+    retained = retain_dominant_edges(scores, FakeGraph(n, edges))
+    assert edge_pairs(retained) == expected
 
 
 def test_retain_equals_per_edge_loop_on_large_levels():
@@ -174,29 +179,30 @@ def test_retain_equals_per_edge_loop_on_large_levels():
         rng = np.random.default_rng(seed)
         # two decimals: many ties among ~300 edges
         values = np.round(rng.random((g.num_edges, 1)), 2)
-        scores = EdgeScores(tuple(g.edges), Tensor(values))
-        expected = retain_dominant_edges_reference(scores)
-        assert retain_dominant_edges(scores, g) == expected
+        expected = retain_dominant_edges_reference(EdgeScores(g.edges, Tensor(values)))
+        scores = EdgeScores(edge_array(g.edges), Tensor(values))
+        retained = retain_dominant_edges(scores, g)
+        assert edge_pairs(retained) == expected
 
 
 def test_parse_clusters_no_edges_gives_singletons():
-    assign = parse_clusters((), FakeGraph(4, []))
+    assign = parse_clusters(edge_array(()), FakeGraph(4, []))
     assert np.array_equal(assign.membership, [0, 1, 2, 3])
     assert assign.num_clusters == 4
 
 
 def test_parse_clusters_components_and_ordering():
-    assign = parse_clusters(((2, 3),), FakeGraph(5, [(2, 3)]))
+    assign = parse_clusters(edge_array(((2, 3),)), FakeGraph(5, [(2, 3)]))
     assert np.array_equal(assign.membership, [0, 1, 2, 2, 3])
-    assign = parse_clusters(((0, 4), (1, 2)), FakeGraph(5, []))
+    assign = parse_clusters(edge_array(((0, 4), (1, 2))), FakeGraph(5, []))
     assert np.array_equal(assign.membership, [0, 1, 1, 2, 0])
 
 
 def test_parse_clusters_order_invariant():
     edges = [(0, 1), (1, 2), (3, 4)]
-    base = parse_clusters(tuple(edges), FakeGraph(5, edges))
+    base = parse_clusters(edge_array(edges), FakeGraph(5, edges))
     for perm in itertools.permutations(edges):
-        assign = parse_clusters(tuple(perm), FakeGraph(5, edges))
+        assign = parse_clusters(edge_array(perm), FakeGraph(5, edges))
         assert np.array_equal(assign.membership, base.membership)
 
 
@@ -230,8 +236,8 @@ def test_pool_matches_cluster_pair_scan():
         membership = rng.integers(0, k, size=14)
         membership[:k] = np.arange(k)  # keep every cluster non-empty
         assign = parse_clusters(
-            tuple((int(i), int(j)) for i in range(14) for j in range(14)
-                  if i < j and membership[i] == membership[j]),
+            edge_array((i, j) for i in range(14) for j in range(14)
+                       if i < j and membership[i] == membership[j]),
             g,
         )
         pooled = pool(assign, PooledGraph.of(g))
@@ -270,12 +276,11 @@ def test_two_cycle_pairs_matches_dense_count():
         assert level_from_dense(a).two_cycle_pairs() == int(np.triu(both, k=1).sum())
 
 
-def test_pooled_graph_edges_property():
+def test_pooled_graph_of_sorts_edges():
     pg = PooledGraph(2, np.array([0, 1]), np.array([1, 0]))
-    assert pg.edges == ((0, 1), (1, 0))
-    assert PooledGraph.of(FakeGraph(3, [(2, 0), (0, 2), (0, 1)])).edges == (
-        (0, 1), (0, 2), (2, 0)
-    )
+    assert edge_pairs(np.stack((pg.src, pg.dst), axis=1)) == ((0, 1), (1, 0))
+    pg = PooledGraph.of(FakeGraph(3, [(2, 0), (0, 2), (0, 1)]))
+    assert edge_pairs(np.stack((pg.src, pg.dst), axis=1)) == ((0, 1), (0, 2), (2, 0))
 
 
 def test_pool_features_matches_matrix_product():
@@ -306,7 +311,7 @@ def test_score_edges_finite_differences():
     rng = np.random.default_rng(12)
     z = parameter(rng.normal(size=(5, 3)))
     phi = init_mlp(rng, [3, 3, 1])
-    g = FakeGraph(5, [(0, 1), (1, 2), (2, 4), (0, 3)])
+    g = PooledGraph.of(FakeGraph(5, [(0, 1), (1, 2), (2, 4), (0, 3)]))
     params = [z, *phi.parameters()]
 
     def build(tape):
