@@ -22,9 +22,20 @@ replayed. Entries store no derived arrays (relu and clip_min rebuild their
 entry once it has replayed. A tape made with `record=False` computes the
 same values and records nothing, for forward passes that never run
 backward.
+
+A tape made with a `Workspace` takes its large arrays (dense and sparse
+products, the pass kernel's temporaries, dropout draws and their
+gradients) from the workspace's buffers instead of from the allocator,
+and backward hands each buffer back once nothing reads it. A loop of
+forward/backward pairs with one workspace, reset between pairs, then
+writes into the memory the previous pair used, so its pages stay mapped,
+and the gradients of one pair reuse the buffers of the outputs already
+replayed. Every value comes from the same operations either way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,6 +82,85 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+# Arrays under this size are never lent: the allocator reuses their memory
+# from its free lists, and lending one costs more Python time than a small
+# graph's whole primitive.
+SMALL_ARRAY_BYTES = 1 << 16
+
+
+class Workspace:
+    """Flat float64 buffers lent out as arrays of any shape and dtype.
+
+    `lend` hands out the smallest free buffer that holds the asked shape,
+    as a view with arbitrary contents (as `np.empty`). When no free buffer
+    is large enough it regrows the largest free one, and when none is free
+    it adds one, so the buffers number the most arrays lent at once and
+    each is about as large as the largest array it held. `give` takes lent
+    arrays back early; `reset` takes every array back, after which no
+    array lent before it may be used. `allocations` counts the buffers
+    ever made.
+    """
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+        self._free: list[int] = []  # positions in `buffers`
+        self._lent: dict[int, int] = {}  # id(buffer) -> position
+        self.allocations = 0
+
+    def lend(self, shape, dtype=np.float64) -> np.ndarray | None:
+        """An array of `shape` and `dtype`, or None under SMALL_ARRAY_BYTES."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        if count * dtype.itemsize < SMALL_ARRAY_BYTES:
+            return None
+        words = -(-count * dtype.itemsize // 8)
+        free, buffers = self._free, self.buffers
+        fit = None
+        for i in free:
+            size = buffers[i].size
+            if size >= words and (fit is None or size < buffers[fit].size):
+                fit = i
+        if fit is None:
+            # made at the largest buffer's size when that is at most 1/8
+            # larger, so that one level's arrays (n rows, or one per edge)
+            # share a size and a slightly larger one regrows no buffer
+            largest = max((b.size for b in buffers), default=0)
+            made = largest if words <= largest <= words + words // 8 else words
+            if free:
+                fit = max(free, key=lambda i: buffers[i].size)
+                free.remove(fit)
+                buffers[fit] = None  # freed before its replacement is made
+            else:
+                fit = len(buffers)
+                buffers.append(None)
+            buffers[fit] = np.empty(made)
+            self.allocations += 1
+        else:
+            free.remove(fit)
+        buf = buffers[fit]
+        self._lent[id(buf)] = fit
+        return buf[:words].view(dtype)[:count].reshape(shape)
+
+    def give(self, *arrays: np.ndarray | None) -> None:
+        """Take back arrays that `lend` handed out. None, arrays it did not
+        lend, and arrays already given back whose buffer is not lent anew
+        are ignored."""
+        for a in arrays:
+            if a is not None and (fit := self._lent.pop(id(a.base), None)) is not None:
+                self._free.append(fit)
+
+    def reset(self) -> None:
+        self._lent.clear()
+        self._free = list(range(len(self.buffers)))
+
+
+def take_rows(h: np.ndarray, idx: np.ndarray, workspace: Workspace | None) -> np.ndarray:
+    """h[idx] for in-range row indices, lent from `workspace` when it lends
+    an array of that size."""
+    out = None if workspace is None else workspace.lend((len(idx), h.shape[1]))
+    return h[idx] if out is None else np.take(h, idx, axis=0, mode="clip", out=out)
+
+
 class SparseMatrix:
     """A constant n x n matrix: its diagonal plus distinct off-diagonal
     entries weights[e] at (rows[e], cols[e]).
@@ -97,10 +187,14 @@ class SparseMatrix:
     def nbytes(self) -> int:
         return self.diag.nbytes + self._passes.nbytes + self._transposed_passes.nbytes
 
-    def apply(self, h: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """self @ h, or self.T @ h."""
+    def apply(
+        self, h: np.ndarray, transpose: bool = False, workspace: Workspace | None = None
+    ) -> np.ndarray:
+        """self @ h, or self.T @ h; the result and the temporaries are lent
+        from `workspace` when one is given."""
         passes = self._transposed_passes if transpose else self._passes
-        return passes.accumulate(self.diag[:, None] * h, h)
+        out = None if workspace is None else workspace.lend(h.shape)
+        return passes.accumulate(np.multiply(self.diag[:, None], h, out=out), h, workspace)
 
 
 class Passes:
@@ -134,17 +228,22 @@ class Passes:
         arrays = (self.rows, self.source, self.weights)
         return sum(a.nbytes for a in arrays if a is not None)
 
-    def accumulate(self, out: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Add every term to `out` in place; returns `out`."""
-        terms = h[self.source]
+    def accumulate(
+        self, out: np.ndarray, h: np.ndarray, workspace: Workspace | None = None
+    ) -> np.ndarray:
+        """Add every term to `out` in place; returns `out`. The gathered
+        terms and rows are lent from `workspace` when one is given."""
+        terms = take_rows(h, self.source, workspace)
         if self.weights is not None:
             terms *= self.weights
-        acc = out[self.rows]
+        acc = take_rows(out, self.rows, workspace)
         start = 0
         for m in self.lengths:
             acc[:m] += terms[start : start + m]
             start += m
         out[self.rows] = acc
+        if workspace is not None:
+            workspace.give(terms, acc)
         return out
 
 
@@ -170,10 +269,19 @@ class Tape:
     With `record=False` the tape keeps no entries, so a forward pass holds
     no intermediate beyond what its caller keeps; outputs then never
     require a gradient.
+
+    With a `workspace`, the large arrays of `dense`, `spmm` and
+    `scatter_add_rows` (outputs, temporaries and gradients) are lent from
+    it. The backward of those entries gives its output and dropout mask
+    back as soon as it has read them, and backward gives each upstream
+    gradient back once its entry has replayed. An output is then valid
+    only until backward replays its entry or the workspace is reset, so a
+    caller keeps none of them.
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True, workspace: Workspace | None = None):
         self.record = record
+        self.workspace = workspace
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
@@ -213,7 +321,9 @@ class Tape:
             raise ShapeMismatch(f"dense {a.shape} @ {w.shape}")
         if bias is not None and bias.shape != (1, w.shape[1]):
             raise ShapeMismatch(f"dense bias {bias.shape} for {w.shape}")
-        y = a.data @ w.data
+        ws = self.workspace
+        out = None if ws is None else ws.lend((a.data.shape[0], w.data.shape[1]))
+        y = np.matmul(a.data, w.data, out=out)
         if bias is not None:
             y += bias.data
         if relu:
@@ -227,11 +337,17 @@ class Tape:
             if keep is not None:
                 g *= keep
                 g *= scale
+            positive = None
             if relu:
-                g *= y > 0.0
+                positive = np.greater(y, 0.0, out=None if ws is None else ws.lend(y.shape, bool))
+                g *= positive
+            if ws is not None:  # y and the masks are not read again
+                ws.give(y, keep, positive)
             return (
-                g @ w.data.T if a.requires_grad else None,
-                a.data.T @ g if w.requires_grad else None,
+                np.matmul(g, w.data.T, out=None if ws is None else ws.lend(a.data.shape))
+                if a.requires_grad else None,
+                np.matmul(a.data.T, g, out=None if ws is None else ws.lend(w.data.shape))
+                if w.requires_grad else None,
                 g.sum(axis=0, keepdims=True) if bias is not None else None,
             )
 
@@ -242,8 +358,15 @@ class Tape:
         """m @ a for a constant sparse m; the backward applies m.T."""
         if m.shape[1] != a.shape[0]:
             raise ShapeMismatch(f"spmm {m.shape} @ {a.shape}")
-        out = Tensor(m.apply(a.data))
-        return self._record(out, (a,), lambda g: (m.apply(g, transpose=True),))
+        ws = self.workspace
+        y = m.apply(a.data, workspace=ws)
+
+        def back(g):
+            if ws is not None:
+                ws.give(y)
+            return (m.apply(g, True, ws),)
+
+        return self._record(Tensor(y), (a,), back)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
@@ -340,8 +463,21 @@ class Tape:
             raise ShapeMismatch(f"scatter index length {idx.shape} for {a.shape}")
         if passes is None:
             passes = index_passes(idx)
-        acc = passes.accumulate(np.zeros((num_rows, a.shape[1])), a.data)
-        return self._record(Tensor(acc), (a,), lambda g: (g[idx],))
+        ws = self.workspace
+        shape = (num_rows, a.shape[1])
+        out = None if ws is None else ws.lend(shape)
+        if out is None:
+            out = np.zeros(shape)
+        else:
+            out.fill(0.0)
+        acc = passes.accumulate(out, a.data, ws)
+
+        def back(g):
+            if ws is not None:
+                ws.give(acc)
+            return (take_rows(g, idx, ws),)
+
+        return self._record(Tensor(acc), (a,), back)
 
     def sum(self, a: Tensor) -> Tensor:
         out = Tensor([[a.data.sum()]])
@@ -352,9 +488,13 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d loss / d t into t.grad for every leaf that requires
         a gradient. Recorded outputs hand their gradient on and end with
-        grad None; every gradient array belongs to one tensor only."""
+        grad None; every gradient array belongs to one tensor only. With a
+        workspace, a replayed entry's upstream gradient and the gradients
+        added into existing ones go back to it, unless one became an
+        input's gradient."""
         if loss.shape != (1, 1):
             raise NonScalarLoss(f"loss must be 1x1, got {loss.shape}")
+        ws = self.workspace
         loss.grad = np.ones((1, 1))
         while self._entries:
             out, inputs, back = self._entries.pop()
@@ -362,15 +502,19 @@ class Tape:
             if g is None:  # the loss does not depend on this output
                 continue
             taken: list[np.ndarray] = []
+            spent = [g]
             for t, tg in zip(inputs, back(g)):
                 if not t.requires_grad:
                     continue
                 if t.grad is not None:
                     t.grad += tg
+                    spent.append(tg)
                 else:
                     # a backward may hand one array to several inputs
                     t.grad = tg.copy() if any(tg is x for x in taken) else tg
                     taken.append(t.grad)
+            if ws is not None:
+                ws.give(*(x for x in spent if not any(x is y for y in taken)))
 
 
 class Adam:
@@ -388,14 +532,28 @@ class Adam:
         self.t = 0
 
     def step(self) -> None:
+        """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, then
+        p -= lr m_hat / (sqrt(v_hat) + eps): the same float operations, in
+        place on m and v with two temporaries per parameter."""
         self.t += 1
-        for i, p in enumerate(self.params):
+        m_scale = 1 - self.beta1**self.t
+        v_scale = 1 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            step = g * (1 - self.beta1)
+            m *= self.beta1
+            m += step
+            square = g * g
+            square *= 1 - self.beta2
+            v *= self.beta2
+            v += square
+            np.divide(m, m_scale, out=step)
+            step *= self.lr
+            np.divide(v, v_scale, out=square)
+            np.sqrt(square, out=square)
+            square += self.eps
+            step /= square
+            p.data -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

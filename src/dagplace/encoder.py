@@ -73,6 +73,6 @@ def encode(
     """
     h = x
     for w in params.layers:
-        keep = keep_mask((h.shape[0], w.shape[1]), dropout, rng)
+        keep = keep_mask((h.shape[0], w.shape[1]), dropout, rng, tape.workspace)
         h = tape.dense(tape.spmm(norm, h), w, relu=True, keep=keep, rate=dropout)
     return h

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, parameter
+from .autograd import Tape, Tensor, Workspace, parameter
 
 
 @dataclass
@@ -43,11 +43,22 @@ def mlp_forward(tape: Tape, x: Tensor, mlp: Mlp) -> Tensor:
     return h
 
 
-def keep_mask(shape, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+def keep_mask(
+    shape,
+    rate: float,
+    rng: np.random.Generator | None,
+    workspace: Workspace | None = None,
+) -> np.ndarray | None:
     """Inverted dropout's bool mask, True where an entry is kept, from one
     draw per entry; None (no dropout) when rate is 0 or no generator is
-    given. Kept entries are scaled by 1 / (1 - rate) where it is applied."""
+    given. Kept entries are scaled by 1 / (1 - rate) where it is applied.
+    The draws and the mask are lent from `workspace` when one is given."""
     if rate <= 0.0 or rng is None:
         return None
-    return rng.random(shape) >= rate
+    ws = workspace
+    draws = rng.random(shape, out=None if ws is None else ws.lend(shape))
+    keep = np.greater_equal(draws, rate, out=None if ws is None else ws.lend(shape, bool))
+    if ws is not None:
+        ws.give(draws)
+    return keep
 

@@ -8,13 +8,18 @@ buffer of `update_timestep` steps; an update then rebuilds the surrogate
 loss -sum_i log_prob_i * gamma^i * reward_i under the current parameters
 `k_epochs` times, stepping Adam after each rebuild. Each rebuild runs one
 tape and one backward per record and sums the gradients, so an update needs
-the memory of one record, whatever the buffer length. Steps and greedy
-evaluation never run backward, so their tapes record nothing: a step keeps
-only what its record needs. Records share their state's features and
-normalized adjacency rather than copying them; the features are
-read-only. When parsing collapses the state to a single cluster the state
-resets to the original graph, with the accumulated per-node embeddings as
-its features.
+the memory of one record, whatever the buffer length. The update's tapes
+take their large arrays from one `Workspace` that lives for the update:
+each record writes into the buffers the record before it used, and a
+gradient reuses the buffer of an output its backward has replayed, so the
+update maps one record's memory once instead of faulting it back in for
+every record. Steps and greedy evaluation never run backward, so their
+tapes record nothing and take no workspace: a step keeps only what its
+record needs, and its pooled embeddings become the next state's
+features. Records share their state's features and normalized adjacency
+rather than copying them; the features are read-only. When parsing
+collapses the state to a single cluster the state resets to the original
+graph, with the accumulated per-node embeddings as its features.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Adam, SparseMatrix, Tape, Tensor
+from .autograd import SMALL_ARRAY_BYTES, Adam, SparseMatrix, Tape, Tensor, Workspace
 from .encoder import (
     GcnParams,
     encode,
@@ -359,15 +364,24 @@ class Trainer:
         The loss is a sum over records, so each epoch accumulates its
         gradient one record at a time, each on its own tape: only one
         record's intermediates are alive at once. Records run in buffer
-        order, so the dropout stream is drawn as by one tape over all."""
+        order, so the dropout stream is drawn as by one tape over all.
+        Every tape lends its large arrays from one workspace, reset after
+        each record and dropped when the update returns, so the records
+        reuse one record's buffers and no array outlives the update."""
         if not self.buffer:
             raise EmptyBuffer("update requires at least one recorded step")
         baseline = self._baseline(self.buffer)
+        # an original-level embedding is the largest array; when it is under
+        # the size a workspace lends, lending would only add bookkeeping
+        widest = self.graph.num_nodes * self.model.hidden_channel * 8
+        workspace = Workspace() if widest >= SMALL_ARRAY_BYTES else None
         for _ in range(self.cfg.k_epochs):
             self.adam.zero_grad()
             for rec in self.buffer:
-                tape = Tape()
+                tape = Tape(workspace=workspace)
                 tape.backward(self.surrogate_loss(tape, [rec], baseline))
+                if workspace is not None:
+                    workspace.reset()
             self.adam.step()
         self.buffer.clear()
 

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from dagplace.autograd import Tensor
+from dagplace.autograd import Tensor, Workspace
 from dagplace.graph import CompGraph, volume
 from dagplace.partition import PooledGraph
 
@@ -268,3 +268,27 @@ def colocate_membership_reference(graph: CompGraph) -> list[int]:
         if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
     )
     return components_reference(graph.num_nodes, pairs)[0].tolist()
+
+
+class NanWorkspace(Workspace):
+    """A workspace whose every lent array starts as 0xFF bytes (NaN as a
+    float, 255 as a bool), and whose buffers turn NaN as soon as they are
+    given back and after a reset, so that reading a lent array before
+    writing it, or after giving it back, shows in the result."""
+
+    def lend(self, shape, dtype=np.float64):
+        out = super().lend(shape, dtype)
+        if out is not None:
+            out.view(np.uint8).fill(0xFF)
+        return out
+
+    def give(self, *arrays) -> None:
+        for a in arrays:
+            if a is not None and any(a.base is buf for buf in self.buffers):
+                a.base.fill(np.nan)
+        super().give(*arrays)
+
+    def reset(self) -> None:
+        super().reset()
+        for buf in self.buffers:
+            buf.fill(np.nan)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dagplace import autograd
 from dagplace.autograd import (
     Adam,
     NonScalarLoss,
@@ -12,9 +13,16 @@ from dagplace.autograd import (
     SparseMatrix,
     Tape,
     Tensor,
+    index_passes,
     parameter,
 )
-from helpers import add_at_reference, central_difference, dense_unfused, max_rel_err
+from helpers import (
+    NanWorkspace,
+    add_at_reference,
+    central_difference,
+    dense_unfused,
+    max_rel_err,
+)
 
 
 def test_tensor_reshapes_vectors_to_rows():
@@ -259,6 +267,68 @@ def test_spmm_equals_sequential_add_at(n, data, width, seed):
         expected = diag[:, None] * h
         np.add.at(expected, target, weights[:, None] * h[source])
         assert _same_bits(m.apply(h, transpose=transpose), expected)
+
+
+def _dense_round(rng_seed, width, workspace):
+    """The value of a relu dense layer with dropout and bias over x + x,
+    and the gradients of x, the weights and the bias, each copied before
+    the workspace (when there is one) may lend its buffer again. The add's
+    backward hands its upstream gradient, lent by the dense backward, on to
+    x unchanged."""
+    rng = np.random.default_rng(rng_seed)
+    shapes = ((6, width), (width, width), (1, width))
+    x, w, b = (_gradient_target(_with_zeros(rng, shape)) for shape in shapes)
+    keep = rng.random((6, width)) >= 0.3
+    upstream = _with_zeros(rng, (6, width))
+    tape = Tape(workspace=workspace)
+    out = tape.dense(tape.add(x, x), w, b, relu=True, keep=keep, rate=0.3)
+    value = out.data.copy()
+    tape.backward(tape.sum(tape.mul(out, Tensor(upstream))))
+    return [value] + [t.grad.copy() for t in (x, w, b)]
+
+
+@st.composite
+def sparse_cases(draw):
+    """n, distinct off-diagonal (row, col) entries, a row index with
+    repeats, a width and a seed."""
+    n = draw(st.integers(1, 7))
+    pairs = [(r, c) for r in range(n) for c in range(n) if r != c]
+    entries = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=24))
+    return n, entries, idx, draw(st.sampled_from([1, 128])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_cases())
+@example(case=(3, [], [], 1, 0))
+@example(case=(4, [(0, 1), (2, 1), (3, 1)], [2, 2, 0, 2], 128, 1))
+def test_workspace_arrays_equal_fresh_allocation(case):
+    """SparseMatrix.apply, Passes.accumulate and a dense layer's value and
+    gradients write the same bytes into arrays lent from a workspace, each
+    full of NaN bytes when lent and reused on the second round, as into
+    fresh arrays: with an empty edge set and with repeated targets. Every
+    size is lent here, so width 1 is lent too."""
+    n, entries, idx, width, seed = case
+    rows = np.array([r for r, _ in entries], dtype=np.intp)
+    cols = np.array([c for _, c in entries], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    m = SparseMatrix(rng.random(n), rows, cols, rng.normal(size=len(entries)))
+    h = _with_zeros(rng, (n, width))
+    terms = _with_zeros(rng, (len(idx), width))
+    start = rng.normal(size=(n, width))
+    passes = index_passes(idx)
+    fresh = [m.apply(h), m.apply(h, transpose=True),
+             passes.accumulate(start.copy(), terms)] + _dense_round(seed, width, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(autograd, "SMALL_ARRAY_BYTES", 0)
+        ws = NanWorkspace()
+        for _ in range(2):
+            lent = [m.apply(h, workspace=ws), m.apply(h, True, ws),
+                    passes.accumulate(start.copy(), terms, ws)]
+            lent += _dense_round(seed, width, ws)
+            assert all(_same_bits(a, b) for a, b in zip(lent, fresh, strict=True))
+            ws.reset()
+    assert ws.allocations > 0
 
 
 def test_relu_with_keep_equals_relu_then_mul():

@@ -3,7 +3,7 @@ import pytest
 
 from dagplace.autograd import Tape, Tensor, parameter
 from dagplace.nn import Mlp, glorot, init_mlp, keep_mask, mlp_forward
-from helpers import central_difference, max_rel_err
+from helpers import NanWorkspace, central_difference, max_rel_err
 
 
 def test_glorot_bound_and_determinism():
@@ -140,3 +140,22 @@ def test_bool_mask_equals_the_float_keep(rate):
         assert out.data.tobytes() == expected.tobytes()
     assert np.isnan(out.data).any() and np.isinf(out.data).any()
 
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_keep_mask_drawn_into_a_workspace_equals_a_fresh_draw(rate):
+    """Drawn into lent arrays full of NaN bytes, and again into the same
+    buffers after a reset, keep_mask gives the bools of a fresh draw and
+    leaves the stream where a fresh draw leaves it."""
+    shape = (600, 128)  # the draws and the bool mask are both large enough to lend
+    reference = np.random.default_rng(7)
+    expected = [keep_mask(shape, rate, reference) for _ in range(2)]
+    rng = np.random.default_rng(7)
+    ws = NanWorkspace()
+    for want in expected:
+        got = keep_mask(shape, rate, rng, ws)
+        assert got.dtype == bool and got.base is not None  # lent, not fresh
+        assert got.tobytes() == want.tobytes()
+        ws.reset()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert ws.allocations == 2  # the draws' buffer and the mask's, made once

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dagplace import encoder, training
-from dagplace.autograd import Tape, Tensor
+from dagplace import autograd, encoder, training
+from dagplace.autograd import Tape, Tensor, Workspace
 from dagplace.encoder import encode
 from dagplace.features import FeatureConfig
 from dagplace.fixtures import (
     dominant_device_fixture,
+    inception_like,
     random_cost_model,
     random_dag,
     split_fixture,
@@ -25,6 +26,7 @@ from dagplace.training import (
     Trainer,
 )
 from helpers import (
+    NanWorkspace,
     central_difference,
     dense_unfused,
     gather_rows_add_at,
@@ -557,3 +559,120 @@ def test_update_equals_add_at_and_unfused_references(monkeypatch):
     assert latencies == ref_latencies
     for p, ref in zip(params, ref_params):
         assert p.tobytes() == ref.tobytes()
+
+
+SMALL_LENT = ModelConfig(hidden_channel=16)
+SHORT = TrainConfig(update_timestep=10, k_epochs=2)
+
+
+@pytest.fixture
+def lend_everything(monkeypatch):
+    """Workspaces lend arrays of every size, so that the small graphs and
+    widths of these tests run every primitive on lent arrays."""
+    monkeypatch.setattr(autograd, "SMALL_ARRAY_BYTES", 0)
+    monkeypatch.setattr(training, "SMALL_ARRAY_BYTES", 0)
+
+
+def _trainer_on(graph, model: ModelConfig, cfg: TrainConfig = SHORT) -> Trainer:
+    return Trainer(graph, random_cost_model(graph.num_op_types, 2, seed=0), cfg, model, NARROW)
+
+
+def _steps_and_update_on_workspaces(graph, model: ModelConfig, workspace):
+    """A buffer of steps and one update whose workspaces come from
+    `workspace()` (a workspace class, or a function returning None)."""
+    made = []
+
+    def make():
+        ws = workspace()
+        made.append(ws)
+        return ws
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "Workspace", make)
+        tr = _trainer_on(graph, model)
+        records = [tr.step() for _ in range(tr.cfg.update_timestep)]
+        tr.update()
+    return tr, records, made
+
+
+@pytest.mark.parametrize(
+    "graph,model",
+    [
+        (random_dag(300, seed=0), ModelConfig(hidden_channel=16, dropout_parsing=0.3)),
+        (inception_like(400, seed=0), SMALL_LENT),
+    ],
+    ids=["random-dag-300", "inception-400"],
+)
+def test_update_reads_no_lent_array_before_writing_it(lend_everything, graph, model):
+    """With every lent array full of NaN bytes when lent and every buffer
+    NaN between records, an update changes the parameters and the dropout
+    stream exactly as one without a workspace: no primitive reads a reused
+    array before writing it. The buffer's records span levels of several
+    sizes, so buffers are reused for other shapes too."""
+    tr, records, made = _steps_and_update_on_workspaces(graph, model, NanWorkspace)
+    ref, _, _ = _steps_and_update_on_workspaces(graph, model, lambda: None)
+    assert len({r.norm.shape[0] for r in records}) > 2
+    assert len(made) == 1 and made[0].allocations > 0
+    for p, q in zip(tr.parameters(), ref.parameters(), strict=True):
+        assert p.data.tobytes() == q.data.tobytes()
+    assert tr.dropout_rng.bit_generator.state == ref.dropout_rng.bit_generator.state
+
+
+def test_no_workspace_array_escapes(lend_everything):
+    """No buffer of an update's workspace backs an array that outlives the
+    update: the parameters and their gradients, Adam's moments, the carried
+    embeddings, the state's features and every record's features, before
+    and after the update and a greedy evaluation. The state's features stay
+    read-only."""
+    made = []
+
+    class Captured(Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    tr = _trainer_on(random_dag(300, seed=0), ModelConfig(hidden_channel=16, dropout_parsing=0.3))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "Workspace", Captured)
+        records = [tr.step() for _ in range(tr.cfg.update_timestep)]
+        tr.update()
+        records += [tr.step() for _ in range(5)]
+        tr.evaluate_greedy()
+    assert len(made) == 1 and made[0].buffers
+    kept = [tr.z_acc, tr.state_features, *tr.adam.m, *tr.adam.v]
+    kept += [a for p in tr.parameters() for a in (p.data, p.grad)]
+    kept += [r.features for r in records]
+    for buf in made[0].buffers:
+        assert not any(np.shares_memory(buf, a) for a in kept)
+    assert not tr.state_features.flags.writeable
+
+
+def test_update_makes_its_buffers_in_the_first_pass(lend_everything):
+    """An update's workspace makes every buffer while the first pass over
+    the buffer runs; the later passes reuse them, counted by the
+    workspace. A second update over records of the same shapes, on a
+    workspace of its own, makes the same buffers at the same records."""
+    made: list[list[int]] = []  # per update: buffers made, after each record
+
+    class Counting(Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append([])
+
+        def reset(self):
+            super().reset()
+            made[-1].append(self.allocations)
+
+    cfg = TrainConfig(update_timestep=8, k_epochs=3)
+    tr = _trainer_on(random_dag(300, seed=0), SMALL_LENT, cfg)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(training, "Workspace", Counting)
+        records = [tr.step() for _ in range(cfg.update_timestep)]
+        tr.update()
+        tr.buffer.extend(records)
+        tr.update()
+    first, second = made
+    passes = len(records)
+    assert len(first) == cfg.k_epochs * passes and first[0] > 0
+    assert first[passes:] == [first[passes - 1]] * (len(first) - passes)
+    assert second == first
