@@ -8,6 +8,7 @@ find the split quickly, and prints the final comparison table.
 
 Usage:
     python3 scripts/run_end_to_end.py [--out DIR] [--seed N] [--episodes N]
+                                      [--dtype float32|float64]
 """
 
 import argparse
@@ -25,6 +26,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/end_to_end")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--episodes", type=int, default=40)
+    parser.add_argument("--dtype", default="float32", help="network arithmetic")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -53,6 +55,7 @@ def main(argv=None) -> int:
         "--dropout-parsing", "0.2",
         "--dropout-network", "0",
         "--target-latency", "5.61",
+        "--dtype", args.dtype,
     ])
 
 

@@ -1,9 +1,16 @@
-"""Minimal reverse-mode autodiff over dense 2-D float64 matrices.
+"""Minimal reverse-mode autodiff over dense 2-D float32 or float64 matrices.
 
 Forward calls go through a Tape, which records one entry per primitive and
 replays them in reverse on backward(). Only the primitives the encoder,
 edge scorer, and placement head need are provided; everything is 2-D. The
 one sparse operand is a constant `SparseMatrix`, applied by `Tape.spmm`.
+
+A tensor keeps a float32 or float64 input's dtype and casts anything else
+to float64. Every primitive computes in its operands' dtype: arrays it
+makes (outputs, zero-filled sums, masks, lent arrays, the loss's seed
+gradient) take that dtype, so a float32 network runs float32 kernels
+throughout. Mixing dtypes upcasts to float64, as numpy does; a caller
+keeps its operands in one dtype.
 
 Row sums by index share one kernel, `Passes`: the sparse product and its
 transpose, the cluster sums of `scatter_add_rows` and the backward of
@@ -48,16 +55,26 @@ class NonScalarLoss(Exception):
     pass
 
 
-class Tensor:
-    """A (rows, cols) float64 value and its gradient.
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-    `grad` is a same-shape buffer for tensors created with `requires_grad`
-    and None otherwise until backward reaches the tensor."""
+
+def as_float(data) -> np.ndarray:
+    """`data` as an array that keeps a float32 or float64 dtype; any other
+    dtype is cast to float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype in FLOAT_DTYPES else arr.astype(np.float64)
+
+
+class Tensor:
+    """A (rows, cols) float32 or float64 value and its gradient.
+
+    `grad` is a same-shape, same-dtype buffer for tensors created with
+    `requires_grad` and None otherwise until backward reaches the tensor."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = as_float(data)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -89,7 +106,9 @@ SMALL_ARRAY_BYTES = 1 << 16
 
 
 class Workspace:
-    """Flat float64 buffers lent out as arrays of any shape and dtype.
+    """Flat buffers of float64 words lent out as arrays of any shape and
+    dtype: float32 or float64 views for a network's values, bool views for
+    masks.
 
     `lend` hands out the smallest free buffer that holds the asked shape,
     as a view with arbitrary contents (as `np.empty`). When no free buffer
@@ -157,13 +176,15 @@ class Workspace:
 def take_rows(h: np.ndarray, idx: np.ndarray, workspace: Workspace | None) -> np.ndarray:
     """h[idx] for in-range row indices, lent from `workspace` when it lends
     an array of that size."""
-    out = None if workspace is None else workspace.lend((len(idx), h.shape[1]))
+    out = None if workspace is None else workspace.lend((len(idx), h.shape[1]), h.dtype)
     return h[idx] if out is None else np.take(h, idx, axis=0, mode="clip", out=out)
 
 
 class SparseMatrix:
     """A constant n x n matrix: its diagonal plus distinct off-diagonal
-    entries weights[e] at (rows[e], cols[e]).
+    entries weights[e] at (rows[e], cols[e]). The diagonal and the weights
+    keep a float32 or float64 dtype, which should be that of the arrays
+    the matrix is applied to.
 
     Products are segment sums over the entries (`Passes`); the plans for the
     product and for its transpose are built here, once.
@@ -172,10 +193,10 @@ class SparseMatrix:
     def __init__(
         self, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
     ):
-        self.diag = np.asarray(diag, dtype=np.float64)
+        self.diag = as_float(diag)
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = as_float(weights)
         self._passes = Passes(rows, cols, weights)
         self._transposed_passes = Passes(cols, rows, weights)
 
@@ -193,7 +214,7 @@ class SparseMatrix:
         """self @ h, or self.T @ h; the result and the temporaries are lent
         from `workspace` when one is given."""
         passes = self._transposed_passes if transpose else self._passes
-        out = None if workspace is None else workspace.lend(h.shape)
+        out = None if workspace is None else workspace.lend(h.shape, np.result_type(self.diag, h))
         return passes.accumulate(np.multiply(self.diag[:, None], h, out=out), h, workspace)
 
 
@@ -253,6 +274,16 @@ def index_passes(idx) -> Passes:
     builds this once and hands it in."""
     idx = np.asarray(idx, dtype=np.intp)
     return Passes(idx, np.arange(len(idx)))
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, split by sign so exp never overflows."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
 
 
 class Tape:
@@ -322,7 +353,10 @@ class Tape:
         if bias is not None and bias.shape != (1, w.shape[1]):
             raise ShapeMismatch(f"dense bias {bias.shape} for {w.shape}")
         ws = self.workspace
-        out = None if ws is None else ws.lend((a.data.shape[0], w.data.shape[1]))
+        out = None
+        if ws is not None:
+            dtype = np.result_type(a.data, w.data)
+            out = ws.lend((a.data.shape[0], w.data.shape[1]), dtype)
         y = np.matmul(a.data, w.data, out=out)
         if bias is not None:
             y += bias.data
@@ -344,9 +378,9 @@ class Tape:
             if ws is not None:  # y and the masks are not read again
                 ws.give(y, keep, positive)
             return (
-                np.matmul(g, w.data.T, out=None if ws is None else ws.lend(a.data.shape))
+                np.matmul(g, w.data.T, out=None if ws is None else ws.lend(a.data.shape, dtype))
                 if a.requires_grad else None,
-                np.matmul(a.data.T, g, out=None if ws is None else ws.lend(w.data.shape))
+                np.matmul(a.data.T, g, out=None if ws is None else ws.lend(w.data.shape, dtype))
                 if w.requires_grad else None,
                 g.sum(axis=0, keepdims=True) if bias is not None else None,
             )
@@ -414,13 +448,7 @@ class Tape:
         return self._record(Tensor(y), (a,), back)
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        # split by sign so exp never overflows
-        x = a.data
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        y = stable_sigmoid(a.data)
         out = Tensor(y)
         return self._record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
@@ -465,9 +493,9 @@ class Tape:
             passes = index_passes(idx)
         ws = self.workspace
         shape = (num_rows, a.shape[1])
-        out = None if ws is None else ws.lend(shape)
+        out = None if ws is None else ws.lend(shape, a.data.dtype)
         if out is None:
-            out = np.zeros(shape)
+            out = np.zeros(shape, a.data.dtype)
         else:
             out.fill(0.0)
         acc = passes.accumulate(out, a.data, ws)
@@ -480,7 +508,7 @@ class Tape:
         return self._record(Tensor(acc), (a,), back)
 
     def sum(self, a: Tensor) -> Tensor:
-        out = Tensor([[a.data.sum()]])
+        out = Tensor(a.data.sum(keepdims=True))
         return self._record(out, (a,), lambda g: (np.full_like(a.data, g[0, 0]),))
 
     # backward -----------------------------------------------------------
@@ -495,7 +523,7 @@ class Tape:
         if loss.shape != (1, 1):
             raise NonScalarLoss(f"loss must be 1x1, got {loss.shape}")
         ws = self.workspace
-        loss.grad = np.ones((1, 1))
+        loss.grad = np.ones((1, 1), loss.data.dtype)
         while self._entries:
             out, inputs, back = self._entries.pop()
             g, out.grad = out.grad, None

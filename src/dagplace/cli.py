@@ -67,6 +67,7 @@ TRAIN_HELP = {
     "seed": "seed for all run randomness",
     "use_baseline": "subtract the buffer mean reward in updates",
     "target_latency": "stop once reached",
+    "dtype": "network arithmetic, float32 (default) or float64",
     "d_pos": "positional encoding width",
     "pe_base": "positional encoding base",
 }

@@ -39,21 +39,23 @@ def init_projection(rng: np.random.Generator, d_in: int, hidden: int, layers: in
     return init_mlp(rng, [d_in] + [hidden] * layers)
 
 
-def normalize_adjacency(level: PooledGraph) -> SparseMatrix:
+def normalize_adjacency(level: PooledGraph, dtype=np.float64) -> SparseMatrix:
     """Self-loop normalized adjacency D^{-1/2} (A + I) D^{-1/2}, sparse.
 
     Degrees are row sums of A + I (out-degree + 1), applied to the directed
     adjacency as-is, so D_ii >= 1 always holds. Edge (u, v) weighs
     D_uu^{-1/2} D_vv^{-1/2} and the self-loops form the diagonal 1 / D_ii.
-    Pooled levels may be cyclic, which is fine here.
+    Pooled levels may be cyclic, which is fine here. The entries are
+    computed in float64 and stored in `dtype`, the dtype of the arrays the
+    operator will multiply.
     """
     degree = np.bincount(level.src, minlength=level.num_nodes) + 1.0
     d_inv_sqrt = 1.0 / np.sqrt(degree)
     return SparseMatrix(
-        d_inv_sqrt * d_inv_sqrt,
+        (d_inv_sqrt * d_inv_sqrt).astype(dtype, copy=False),
         level.src,
         level.dst,
-        d_inv_sqrt[level.src] * d_inv_sqrt[level.dst],
+        (d_inv_sqrt[level.src] * d_inv_sqrt[level.dst]).astype(dtype, copy=False),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tape, Tensor, index_passes
+from .autograd import Tape, Tensor, index_passes, stable_sigmoid
 from .graph import components, contract_edges
 from .nn import Mlp, mlp_forward
 
@@ -26,10 +26,20 @@ from .nn import Mlp, mlp_forward
 @dataclass
 class EdgeScores:
     """Scores in (0, 1), one per row of `edges`, an (E, 2) intp array of
-    (src, dst) pairs."""
+    (src, dst) pairs: `tensor` on the tape, in the network's dtype, and
+    `scores64` in float64, by which retention orders the edges. A float32
+    score is 0 below a logit of about -104 and 1 above about 17 (float64's
+    limits are -745 and 37), so float32 scores of a deep level can all
+    tie where their float64 values differ. `scores64` defaults to
+    `tensor`'s values."""
 
     edges: np.ndarray
     tensor: Tensor  # |E| x 1, on tape
+    scores64: np.ndarray | None = None  # |E|
+
+    def __post_init__(self):
+        if self.scores64 is None:
+            self.scores64 = self.tensor.data.ravel().astype(np.float64)
 
 
 @dataclass
@@ -91,13 +101,15 @@ class PooledGraph:
 
 
 def score_edges(tape: Tape, z: Tensor, level: PooledGraph, phi: Mlp) -> EdgeScores:
-    """sigmoid(phi(z_src * z_dst)) for every edge of `level`, in its order."""
+    """sigmoid(phi(z_src * z_dst)) for every edge of `level`, in its order;
+    `scores64` is the sigmoid of the same logits in float64."""
     edges = np.stack((level.src, level.dst), axis=1)
     if not level.num_edges:
-        return EdgeScores(edges, Tensor(np.zeros((0, 1))))
+        return EdgeScores(edges, Tensor(np.zeros((0, 1), z.data.dtype)))
     pair = tape.mul(tape.gather_rows(z, level.src), tape.gather_rows(z, level.dst))
     raw = mlp_forward(tape, pair, phi)
-    return EdgeScores(edges, tape.sigmoid(raw))
+    scores64 = stable_sigmoid(raw.data.astype(np.float64))[:, 0]
+    return EdgeScores(edges, tape.sigmoid(raw), scores64)
 
 
 def drop_edges(
@@ -109,11 +121,14 @@ def drop_edges(
     keep = rng.random(len(scores.edges)) >= rate
     if keep.all():
         return scores
-    return EdgeScores(scores.edges[keep], Tensor(scores.tensor.data[keep]))
+    return EdgeScores(
+        scores.edges[keep], Tensor(scores.tensor.data[keep]), scores.scores64[keep]
+    )
 
 
 def retain_dominant_edges(scores: EdgeScores, graph) -> np.ndarray:
-    """Keep, for each node, its highest-scoring incident edge (either direction).
+    """Keep, for each node, its highest-scoring incident edge (either
+    direction), by `scores.scores64`.
 
     Score ties prefer the edge with the smaller source id, then smaller
     destination id. The union over nodes has at most |V| edges. One lexsort
@@ -128,7 +143,7 @@ def retain_dominant_edges(scores: EdgeScores, graph) -> np.ndarray:
     ends = scores.edges.ravel()
     key = ends[0::2] * n + ends[1::2]
     # edges best first: higher score, then smaller (src, dst)
-    order = np.lexsort((key, -scores.tensor.data[:, 0]))
+    order = np.lexsort((key, -scores.scores64))
     rank = np.empty(e, dtype=np.intp)
     rank[order] = np.arange(e)
     # (node, rank) of every edge end, sorted: a node's first is its best edge

@@ -38,9 +38,10 @@ def log_prob_of(tape: Tape, dist: Tensor, placement: np.ndarray) -> Tensor:
     gradient are exact.
     """
     n, d = dist.shape
-    mask = np.zeros((n, d))
+    mask = np.zeros((n, d), dist.data.dtype)
     mask[np.arange(n), placement] = 1.0
-    picked = tape.matmul(tape.mul(dist, Tensor(mask)), Tensor(np.ones((d, 1))))
+    ones = np.ones((d, 1), dist.data.dtype)
+    picked = tape.matmul(tape.mul(dist, Tensor(mask)), Tensor(ones))
     return tape.sum(tape.log(tape.clip_min(picked, PROB_FLOOR)))
 
 

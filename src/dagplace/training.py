@@ -20,6 +20,12 @@ features. Records share their state's features and normalized adjacency
 rather than copying them; the features are read-only. When parsing
 collapses the state to a single cluster the state resets to the original
 graph, with the accumulated per-node embeddings as its features.
+
+The network computes in `ModelConfig.dtype`: the trainer casts the
+features, the parameters and the carried embeddings to it and builds each
+level's operator in it, and the tape keeps it from there. The carried
+embeddings accumulate in float64, and dropout draws, latencies and rewards
+are float64 in either dtype.
 """
 
 from __future__ import annotations
@@ -68,7 +74,11 @@ class EmptyBuffer(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Network hyperparameters shared by the encoder, parser, and placer."""
+    """Network hyperparameters shared by the encoder, parser, and placer.
+
+    `dtype` is the network's arithmetic: "float32", or "float64", which
+    computes what the float64-only versions of this package computed, bit
+    for bit."""
 
     hidden_channel: int = 128
     layer_gnn: int = 2
@@ -76,6 +86,7 @@ class ModelConfig:
     layer_parsingnet: int = 2
     dropout_network: float = 0.2
     dropout_parsing: float = 0.0
+    dtype: str = "float32"
 
     def __post_init__(self):
         for name in ("hidden_channel", "layer_gnn", "layer_trans", "layer_parsingnet"):
@@ -84,6 +95,8 @@ class ModelConfig:
         for name in ("dropout_network", "dropout_parsing"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,8 @@ class Trainer:
         self.cm = cm
         self.cfg = cfg
         self.model = model
-        self.x0 = build_features(graph, features)
+        self.dtype = np.dtype(model.dtype)
+        self.x0 = build_features(graph, features).astype(self.dtype, copy=False)
 
         streams = np.random.SeedSequence(cfg.seed).spawn(4)
         self.init_rng, self.dropout_rng, self.parsing_rng, self.action_rng = (
@@ -209,8 +223,13 @@ class Trainer:
         self.gcn: GcnParams = init_gcn(self.init_rng, [hidden] * (model.layer_gnn + 1))
         self.phi = init_mlp(self.init_rng, [hidden] * model.layer_parsingnet + [1])
         self.placer = init_placer(self.init_rng, hidden, hidden, cm.num_devices)
+        # drawn in float64, so both dtypes start from the same values
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
+            p.grad = np.zeros_like(p.data)
         self.adam = Adam(self.parameters(), lr=cfg.learning_rate)
 
+        # float64 in either dtype: see _reset_to_original
         self.z_acc = np.zeros((graph.num_nodes, hidden))
         self.buffer: list[StepRecord] = []
         self.best_placement: np.ndarray | None = None
@@ -226,7 +245,7 @@ class Trainer:
     def norm0(self) -> SparseMatrix:
         """The original level's normalized adjacency, built by the first step
         and shared by every reset, its records and every greedy evaluation."""
-        return normalize_adjacency(self.level0)
+        return normalize_adjacency(self.level0, self.dtype)
 
     def parameters(self):
         return [
@@ -244,12 +263,16 @@ class Trainer:
         pooled encoder outputs whose scale compounds each time the matrix
         feeds back in as features, and left unchecked that feedback loop
         overflows float64 within a few hundred steps.  A single global
-        scalar keeps every relative magnitude intact.
+        scalar keeps every relative magnitude intact.  The accumulator is
+        float64 whatever the model dtype, so a long run sums without
+        float32's rounding or range; the rescaled matrix is cast to the
+        model dtype when it is carried.
         """
         carried = self.z_acc.copy()
         rms = float(np.sqrt(np.mean(np.square(carried))))
         if rms > 0.0:
             carried /= rms
+        carried = carried.astype(self.dtype, copy=False)
         self._enter(self.level0, carried, False, self.identity)
 
     def _enter(self, level: PooledGraph, features, projects: bool, composed):
@@ -280,7 +303,7 @@ class Trainer:
         """Encode one level, parse its scored edges into clusters, pool, and
         give every cluster a device distribution. Training draws dropout
         masks and drops edges; evaluation does neither."""
-        norm = self.norm0 if level is self.level0 else normalize_adjacency(level)
+        norm = self.norm0 if level is self.level0 else normalize_adjacency(level, self.dtype)
         rng = self.dropout_rng if training else None
         z = self._encode(tape, features, projects, norm, rng)
         scores = score_edges(tape, z, level, self.phi)
@@ -373,7 +396,7 @@ class Trainer:
         baseline = self._baseline(self.buffer)
         # an original-level embedding is the largest array; when it is under
         # the size a workspace lends, lending would only add bookkeeping
-        widest = self.graph.num_nodes * self.model.hidden_channel * 8
+        widest = self.graph.num_nodes * self.model.hidden_channel * self.dtype.itemsize
         workspace = Workspace() if widest >= SMALL_ARRAY_BYTES else None
         for _ in range(self.cfg.k_epochs):
             self.adam.zero_grad()

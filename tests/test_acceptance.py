@@ -146,7 +146,10 @@ def test_gradient_integrity(capsys):
                 cm,
                 cfg=TrainConfig(seed=seed),
                 model=ModelConfig(
-                    hidden_channel=4, dropout_network=0.0, dropout_parsing=0.0
+                    hidden_channel=4,
+                    dropout_network=0.0,
+                    dropout_parsing=0.0,
+                    dtype="float64",
                 ),
             )
             for _ in range(3):

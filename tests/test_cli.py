@@ -285,7 +285,8 @@ def test_train_defaults_and_flags_come_from_library_configs():
         "max_episodes": 7, "update_timestep": 3, "k_epochs": 2, "gamma": 0.5,
         "learning_rate": 0.01, "seed": 5, "use_baseline": True, "target_latency": 4.5,
         "hidden_channel": 8, "layer_gnn": 3, "layer_trans": 1, "layer_parsingnet": 3,
-        "dropout_network": 0.1, "dropout_parsing": 0.3, "d_pos": 4, "pe_base": 100.0,
+        "dropout_network": 0.1, "dropout_parsing": 0.3, "dtype": "float64", "d_pos": 4,
+        "pe_base": 100.0,
     }
     for i, default in enumerate(defaults):
         for f in fields(default):
@@ -450,6 +451,35 @@ def test_config_file_rejects_wrong_value_type(tmp_path, capsys, dominant_files):
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"malformed config file {cfg_path}: {key} must be int, got {value!r}" in err
+
+
+def test_bad_dtype_is_a_usage_error(tmp_path, capsys, dominant_files):
+    """`dtype` is "float32" or "float64": another string as a flag, or a
+    number in the config file, exits 2 with a message naming the field,
+    before anything is written."""
+    graph_path, cm_path = dominant_files
+    out = ["--out", str(tmp_path / "run")]
+    assert main(["train", "--graph", graph_path, "--cost-model", cm_path, *out,
+                 "--dtype", "half"]) == 2
+    assert "dtype" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"graph": graph_path, "cost_model": cm_path, "dtype": 32}))
+    assert main(["train", "--config", str(cfg_path), *out]) == 2
+    assert f"malformed config file {cfg_path}: dtype must be str, got 32" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_float64_dtype_round_trips(tmp_path, dominant_files):
+    """`--dtype float64` is written into the run's config.json, and the
+    config fed back through --config repeats the run."""
+    graph_path, cm_path = dominant_files
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--graph", graph_path, "--cost-model", cm_path,
+                 "--out", str(a), "--dtype", "float64", *TRAIN_FLAGS]) == 0
+    assert json.loads((a / "config.json").read_text())["dtype"] == "float64"
+    assert main(["train", "--config", str(a / "config.json"), "--out", str(b)]) == 0
+    assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
+    assert json.loads((b / "config.json").read_text())["dtype"] == "float64"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

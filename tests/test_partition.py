@@ -97,6 +97,28 @@ def test_score_edges_matches_manual_formula():
         assert got == pytest.approx(1.0 / (1.0 + np.exp(-raw[0, 0])), abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_retention_ranks_by_float64_scores(dtype):
+    """Edge logits of -360, -180 and -60 on the path 0-1-2-3: a float32
+    sigmoid is 0 for the first two, but retention ranks by the float64
+    scores of the logits in either dtype, so node 1 keeps (1, 2), not the
+    index tie-break's (0, 1), and the path is one cluster."""
+    z = Tensor(np.array([[4.0], [3.0], [2.0], [1.0]], dtype=dtype))
+    phi = Mlp([Tensor(np.array([[-30.0]], dtype=dtype))], [Tensor(np.zeros((1, 1), dtype))])
+    g = PooledGraph(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    scores = score_edges(Tape(), z, g, phi)
+    assert scores.tensor.data.dtype == dtype
+    if dtype == np.float32:
+        assert scores.tensor.data[:2, 0].tolist() == [0.0, 0.0]
+    assert np.all(np.diff(scores.scores64) > 0)
+    assert edge_pairs(retain_dominant_edges(scores, g)) == ((0, 1), (1, 2), (2, 3))
+    # dropping an edge keeps each remaining edge's float64 score
+    kept = drop_edges(scores, 0.5, np.random.default_rng(1))
+    assert 0 < len(kept.edges) < 3
+    for e, s in zip(edge_pairs(kept.edges), kept.scores64):
+        assert s == scores.scores64[edge_pairs(scores.edges).index(e)]
+
+
 def test_drop_edges_identity_paths():
     scores = manual_scores({(0, 1): 0.9})
     assert drop_edges(scores, 0.0, np.random.default_rng(0)) is scores

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,11 +39,11 @@ SMALL = ModelConfig(hidden_channel=8, dropout_network=0.0, dropout_parsing=0.0)
 NARROW = FeatureConfig(d_pos=4)
 
 
-def small_trainer(graph=None, cm=None, seed=0, **cfg_kwargs) -> Trainer:
+def small_trainer(graph=None, cm=None, seed=0, model=SMALL, **cfg_kwargs) -> Trainer:
     if graph is None:
         graph, cm = split_fixture()
     cfg = TrainConfig(max_episodes=2, update_timestep=4, seed=seed, **cfg_kwargs)
-    return Trainer(graph, cm, cfg, SMALL, NARROW)
+    return Trainer(graph, cm, cfg, model, NARROW)
 
 
 def test_train_config_validation():
@@ -74,6 +75,8 @@ def test_model_config_validation():
         ModelConfig(dropout_network=1.0)
     with pytest.raises(ValueError):
         ModelConfig(dropout_parsing=-0.1)
+    with pytest.raises(ValueError, match="dtype"):
+        ModelConfig(dtype="float16")
 
 
 def test_trainer_rejects_bad_inputs():
@@ -228,9 +231,9 @@ def test_original_level_operator_is_built_once(monkeypatch):
     later restarts, their records and greedy evaluation share it."""
     built = []
 
-    def normalize(level):
+    def normalize(level, *args):
         built.append(level)
-        return encoder.normalize_adjacency(level)
+        return encoder.normalize_adjacency(level, *args)
 
     monkeypatch.setattr(training, "normalize_adjacency", normalize)
     tr = small_trainer()
@@ -307,7 +310,7 @@ def test_single_record_baseline_cancels_gradient():
 
 
 def test_single_record_gradient_is_discounted_score():
-    tr = small_trainer()
+    tr = small_trainer(model=replace(SMALL, dtype="float64"))
     rec = tr.step()
     tape = Tape()
     loss = tr.surrogate_loss(tape, tr.buffer)
@@ -347,7 +350,9 @@ def test_surrogate_finite_differences():
         g,
         cm,
         TrainConfig(max_episodes=1, update_timestep=2, seed=2),
-        ModelConfig(hidden_channel=4, dropout_network=0.0, dropout_parsing=0.0),
+        ModelConfig(
+            hidden_channel=4, dropout_network=0.0, dropout_parsing=0.0, dtype="float64"
+        ),
         FeatureConfig(d_pos=2),
     )
     tr.step()
@@ -403,9 +408,10 @@ def test_composed_membership_always_spans_original_nodes():
         assert tr.composed.num_clusters >= 1
 
 
-# (step, episode, latency, reward, num_clusters) of the run below. A rewrite
-# of the training path must reproduce them; dropout and edge dropping are
-# both on, so every RNG stream and the update between the episodes take part
+# (step, episode, latency, reward, num_clusters) of the float64 run below. A
+# rewrite of the training path must reproduce them; dropout and edge dropping
+# are both on, so every RNG stream and the update between the episodes take
+# part
 GOLDEN_HISTORY = [
     (1, 1, 3.75, 0.26666666666666666, 2),
     (2, 1, 3.75, 0.26666666666666666, 1),
@@ -422,22 +428,47 @@ GOLDEN_HISTORY = [
 ]
 
 
-def test_history_matches_golden_rows():
+# the rows of the same run from the default, float32, network. They equal
+# the float64 rows: no sampling draw or edge ranking of this run is close
+# enough to a tie for float32 rounding to flip it
+GOLDEN_HISTORY_FLOAT32 = [
+    (1, 1, 3.75, 0.26666666666666666, 2),
+    (2, 1, 3.75, 0.26666666666666666, 1),
+    (3, 1, 6.0, 0.16666666666666666, 2),
+    (4, 1, 3.75, 0.26666666666666666, 1),
+    (5, 1, 4.75, 0.21052631578947367, 3),
+    (6, 1, 3.75, 0.26666666666666666, 2),
+    (7, 2, 3.75, 0.26666666666666666, 1),
+    (8, 2, 3.75, 0.26666666666666666, 1),
+    (9, 2, 4.25, 0.23529411764705882, 2),
+    (10, 2, 7.5, 0.13333333333333333, 1),
+    (11, 2, 4.25, 0.23529411764705882, 3),
+    (12, 2, 3.75, 0.26666666666666666, 1),
+]
+
+
+def _golden_trainer(model: ModelConfig) -> Trainer:
     g, cm = dominant_device_fixture()
-    result = Trainer(
-        g,
-        cm,
-        TrainConfig(max_episodes=2, update_timestep=6, seed=0),
-        ModelConfig(hidden_channel=8, dropout_parsing=0.3),
-        NARROW,
-    ).run()
-    assert len(result.history) == len(GOLDEN_HISTORY)
-    for row, (step, episode, latency, reward, clusters) in zip(
-        result.history, GOLDEN_HISTORY
-    ):
+    return Trainer(g, cm, TrainConfig(max_episodes=2, update_timestep=6, seed=0), model, NARROW)
+
+
+def _assert_golden(result, golden):
+    assert len(result.history) == len(golden)
+    for row, (step, episode, latency, reward, clusters) in zip(result.history, golden):
         assert (row.step, row.episode, row.num_clusters) == (step, episode, clusters)
         assert row.latency == pytest.approx(latency, rel=1e-12)
         assert row.reward == pytest.approx(reward, rel=1e-12)
+
+
+def test_history_matches_golden_rows():
+    model = ModelConfig(hidden_channel=8, dropout_parsing=0.3, dtype="float64")
+    _assert_golden(_golden_trainer(model).run(), GOLDEN_HISTORY)
+
+
+def test_float32_history_matches_golden_rows():
+    tr = _golden_trainer(ModelConfig(hidden_channel=8, dropout_parsing=0.3))
+    _assert_golden(tr.run(), GOLDEN_HISTORY_FLOAT32)
+    assert all(p.data.dtype == np.float32 for p in tr.parameters())
 
 
 def _step_and_update_peak_bytes(n: int) -> int:
@@ -471,7 +502,8 @@ def _trainer_with_buffer(use_baseline: bool) -> Trainer:
     cfg = TrainConfig(
         update_timestep=5, k_epochs=2, learning_rate=0.01, use_baseline=use_baseline
     )
-    tr = Trainer(g, cm, cfg, ModelConfig(hidden_channel=8, dropout_network=0.3), NARROW)
+    model = ModelConfig(hidden_channel=8, dropout_network=0.3, dtype="float64")
+    tr = Trainer(g, cm, cfg, model, NARROW)
     for _ in range(cfg.update_timestep):
         tr.step()
     return tr
@@ -526,7 +558,7 @@ def test_update_memory_does_not_grow_with_the_buffer():
 def _steps_and_update_with_dropout():
     g = random_dag(300, seed=0)
     cm = random_cost_model(g.num_op_types, 2, seed=0)
-    model = ModelConfig(dropout_network=0.2, dropout_parsing=0.3)
+    model = ModelConfig(dropout_network=0.2, dropout_parsing=0.3, dtype="float64")
     tr = Trainer(g, cm, TrainConfig(update_timestep=20), model, NARROW)
     latencies = [tr.step().latency for _ in range(20)]
     tr.update()
@@ -676,3 +708,89 @@ def test_update_makes_its_buffers_in_the_first_pass(lend_everything):
     assert len(first) == cfg.k_epochs * passes and first[0] > 0
     assert first[passes:] == [first[passes - 1]] * (len(first) - passes)
     assert second == first
+
+
+def test_default_network_runs_in_float32_throughout(lend_everything, monkeypatch):
+    """With the default dtype, two episodes and a greedy evaluation run
+    every tape primitive on float32 operands into float32 outputs and
+    gradients, apply float32 sparse operators, and lend no float64 array
+    but the dropout draws: a float64 operand anywhere would upcast the
+    network to float64 from there on, or cast in a slower loop."""
+    float32 = np.dtype(np.float32)
+    seen = {"entries": 0, "spmm": 0, "lent64": 0}
+    drawing = []
+
+    def floats(*arrays):
+        return [a.dtype for a in arrays if a is not None and a.dtype.kind == "f"]
+
+    def record(tape, out, inputs, back):
+        assert floats(out.data, *(t.data for t in inputs)) == [float32] * (1 + len(inputs))
+        seen["entries"] += 1
+
+        def checked(g):
+            grads = back(g)
+            assert set(floats(g, *grads)) == {float32}
+            return grads
+
+        return original_record(tape, out, inputs, checked)
+
+    def spmm(tape, m, a):
+        assert set(floats(m.diag, m._passes.weights, m._transposed_passes.weights)) == {float32}
+        seen["spmm"] += 1
+        return original_spmm(tape, m, a)
+
+    def lend(ws, shape, dtype=np.float64):
+        if np.dtype(dtype) == np.float64:
+            assert drawing, "a float64 array lent outside the dropout draws"
+            seen["lent64"] += 1
+        else:
+            assert np.dtype(dtype) in (float32, np.dtype(bool))
+        return original_lend(ws, shape, dtype)
+
+    def keep_mask(*args, **kwargs):
+        drawing.append(True)
+        try:
+            return original_keep_mask(*args, **kwargs)
+        finally:
+            drawing.pop()
+
+    original_record, original_spmm = Tape._record, Tape.spmm
+    original_lend, original_keep_mask = Workspace.lend, encoder.keep_mask
+    monkeypatch.setattr(Tape, "_record", record)
+    monkeypatch.setattr(Tape, "spmm", spmm)
+    monkeypatch.setattr(Workspace, "lend", lend)
+    monkeypatch.setattr(encoder, "keep_mask", keep_mask)
+    cfg = TrainConfig(max_episodes=2, update_timestep=5)
+    tr = _trainer_on(random_dag(300, seed=0), ModelConfig(hidden_channel=16, dropout_parsing=0.3), cfg)
+    tr.run()
+    tr.evaluate_greedy()
+    assert min(seen.values()) > 0
+    assert {p.grad.dtype for p in tr.parameters()} == {float32}
+    assert {a.dtype for a in tr.adam.m + tr.adam.v} == {float32}
+    assert tr.x0.dtype == float32
+
+
+def test_carried_embeddings_stay_float64_and_finite():
+    """A float32 trainer on a graph that collapses every few steps keeps
+    its accumulator in float64, and every state it enters, reset or pooled,
+    has finite features in the model dtype, over 100 episodes."""
+    entered = []
+    resets = []
+
+    class Watched(Trainer):
+        def _enter(self, level, features, projects, composed):
+            entered.append(features)
+            super()._enter(level, features, projects, composed)
+
+        def _reset_to_original(self):
+            resets.append(len(entered))
+            super()._reset_to_original()
+
+    g, cm = split_fixture()
+    cfg = TrainConfig(max_episodes=100, update_timestep=4, learning_rate=0.01)
+    tr = Watched(g, cm, cfg, ModelConfig(hidden_channel=8), NARROW)
+    tr.run()
+    assert tr.z_acc.dtype == np.float64 and np.isfinite(tr.z_acc).all()
+    assert len(resets) >= 100, len(resets)
+    for features in entered:
+        assert features.dtype == np.float32 and np.isfinite(features).all()
