@@ -11,10 +11,12 @@ degree values present in that graph.
 The fractal column comes from one bit-parallel BFS from every node at once
 (`ball_sizes`): three n x ceil(n/64) uint64 bitsets, 3 * n * ceil(n/64) * 8
 bytes, plus an int32 table of ball sizes with one row per BFS level.
+Every column comes from array passes that are bit for bit a per-node loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,13 +45,12 @@ class FeatureConfig:
 
 def one_hot_types(graph: CompGraph) -> np.ndarray:
     """|V| x |T| binary matrix; row v has a single 1 at column op_type(v)."""
+    ops = [node.op_type for node in graph.nodes]
+    if ops and not 0 <= min(ops) <= max(ops) < graph.num_op_types:
+        bad = next(t for t in ops if not 0 <= t < graph.num_op_types)
+        raise TypeIndexOutOfRange(f"op_type {bad} outside [0, {graph.num_op_types})")
     out = np.zeros((graph.num_nodes, graph.num_op_types), dtype=np.float64)
-    for node in graph.nodes:
-        if not 0 <= node.op_type < graph.num_op_types:
-            raise TypeIndexOutOfRange(
-                f"op_type {node.op_type} outside [0, {graph.num_op_types})"
-            )
-        out[node.id, node.op_type] = 1.0
+    out[[node.id for node in graph.nodes], ops] = 1.0
     return out
 
 
@@ -59,19 +60,12 @@ def degree_one_hots(graph: CompGraph) -> tuple[np.ndarray, np.ndarray]:
     Column j of each matrix corresponds to the j-th smallest distinct degree
     value occurring in this graph.
     """
-    return (
-        _one_hot_values([len(p) for p in graph.neighbors.pred]),
-        _one_hot_values([len(s) for s in graph.neighbors.succ]),
-    )
+    return _one_hot_lengths(graph.neighbors.pred), _one_hot_lengths(graph.neighbors.succ)
 
 
-def _one_hot_values(values: list[int]) -> np.ndarray:
-    distinct = sorted(set(values))
-    col = {d: j for j, d in enumerate(distinct)}
-    out = np.zeros((len(values), len(distinct)), dtype=np.float64)
-    for i, v in enumerate(values):
-        out[i, col[v]] = 1.0
-    return out
+def _one_hot_lengths(lists: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    distinct, col = np.unique(list(map(len, lists)), return_inverse=True)
+    return np.eye(len(distinct))[col]
 
 
 def fractal_dimensions(graph: CompGraph) -> np.ndarray:
@@ -81,13 +75,31 @@ def fractal_dimensions(graph: CompGraph) -> np.ndarray:
     log r, where r ranges over the distinct undirected hop distances from v
     to reachable nodes and N(v, r) counts the other nodes within distance
     r. 0.0 when fewer than two distinct distances exist.
+
+    The nodes of one eccentricity e share x = log(1..e) and are fitted at
+    once from a [k, e] table of log ball sizes. Each row's mean and its dot
+    product with the centred x sum in a one-node fit's order, so the slopes
+    are bit for bit a per-node loop's; one `yc @ xc` product would not be.
     """
-    return np.array([_fit_slope(b) for b in ball_sizes(graph)], dtype=np.float64)
+    balls, ecc = ball_sizes(graph)
+    dims = np.zeros(graph.num_nodes, dtype=np.float64)
+    for e in np.unique(ecc[ecc > 1]).tolist():
+        nodes = np.flatnonzero(ecc == e)
+        x = np.log(np.arange(1, e + 1, dtype=np.float64))
+        y = np.log(balls[1 : e + 1, nodes].T.astype(np.float64, order="C"))
+        if e == 2:  # two-point fit degenerates to the exact slope
+            dims[nodes] = (y[:, 1] - y[:, 0]) / (x[1] - x[0])
+            continue
+        xc = x - x.mean()
+        yc = y - y.mean(axis=1, keepdims=True)
+        dims[nodes] = np.array([np.dot(xc, row) for row in yc]) / np.dot(xc, xc)
+    return dims
 
 
-def ball_sizes(graph: CompGraph) -> list[np.ndarray]:
-    """N(v, r) for r = 1, 2, ..., the eccentricity of v, for every node v:
-    the number of other nodes within r undirected hops.
+def ball_sizes(graph: CompGraph) -> tuple[np.ndarray, np.ndarray]:
+    """`balls[r, v]` = N(v, r), the number of other nodes within r undirected
+    hops of v, for r from 0 to the largest eccentricity, and `ecc[v]`, the
+    eccentricity of v: N(v, r) grows strictly up to r = ecc[v], then stays.
 
     One BFS runs from every node at once on bitsets: row u, bit w of
     `unreached` is set while w is farther than the current level from u.
@@ -121,7 +133,7 @@ def ball_sizes(graph: CompGraph) -> list[np.ndarray]:
     )
     unreached = ~diag
     frontier, nxt = diag, np.zeros_like(diag)
-    # after level r, reached[u] = N(u, r)
+    # after level r, reached[v] = N(v, r), in node order
     reached = np.zeros(n, dtype=np.int32)
     level_balls = [reached]
     while slots:
@@ -134,55 +146,35 @@ def ball_sizes(graph: CompGraph) -> list[np.ndarray]:
         counts = np.bitwise_count(nxt).sum(axis=1, dtype=np.int32)
         if not counts.any():
             break
-        reached = reached + counts
+        reached = reached + counts[row_of]
         level_balls.append(reached)
         frontier, nxt = nxt, frontier
 
-    balls = np.array(level_balls)  # balls[r, u] = N(u, r)
-    # N(u, r) grows strictly up to u's eccentricity and stays flat after it
-    ecc = np.count_nonzero(balls < balls[-1], axis=0)
-    return [
-        balls[1 : e + 1, u] for e, u in zip(ecc[row_of].tolist(), row_of.tolist())
-    ]
+    balls = np.array(level_balls)  # balls[r, v] = N(v, r)
+    return balls, np.count_nonzero(balls < balls[-1], axis=0)
 
 
-def _fit_slope(counts: np.ndarray) -> float:
-    """Least-squares slope of log counts[r - 1] against log r, r >= 1;
-    0.0 for fewer than two points."""
-    if len(counts) < 2:
-        return 0.0
-    x = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
-    y = np.log(counts.astype(np.float64))
-    if len(counts) == 2:
-        # two-point fit degenerates to the exact slope
-        return float((y[1] - y[0]) / (x[1] - x[0]))
-    xc = x - x.mean()
-    yc = y - y.mean()
-    return float(np.dot(xc, yc) / np.dot(xc, xc))
+def positional_encodings(ranks, cfg: FeatureConfig) -> np.ndarray:
+    """Sinusoidal encodings of topological positions, one row per rank.
 
-
-def positional_encoding(rank: int, cfg: FeatureConfig) -> np.ndarray:
-    """Sinusoidal encoding of a topological position.
-
-    Entry 2i is sin(pos / base^(2i/d_pos)) and entry 2i+1 the matching cos.
+    Entry 2i of a row is sin(rank / base^(2i/d_pos)) and entry 2i+1 the
+    matching cos.
     """
-    if rank < 0:
-        raise ValueError(f"rank must be non-negative, got {rank}")
-    out = np.empty(cfg.d_pos, dtype=np.float64)
-    for i in range(cfg.d_pos // 2):
-        angle = rank / cfg.pe_base ** (2 * i / cfg.d_pos)
-        out[2 * i] = np.sin(angle)
-        out[2 * i + 1] = np.cos(angle)
-    return out
+    ranks = np.asarray(ranks, dtype=np.float64).reshape(-1, 1)
+    if (ranks < 0).any():
+        raise ValueError(f"rank must be non-negative, got {int(ranks.min())}")
+    angle = ranks / [cfg.pe_base ** (2 * i / cfg.d_pos) for i in range(cfg.d_pos // 2)]
+    return np.stack([np.sin(angle), np.cos(angle)], axis=2).reshape(len(ranks), cfg.d_pos)
 
 
 def shape_features(graph: CompGraph) -> np.ndarray:
     """Output shapes right-padded with zeros to the longest shape in the graph."""
-    width = max((len(n.output_shape) for n in graph.nodes), default=0)
-    out = np.zeros((graph.num_nodes, width), dtype=np.float64)
-    for node in graph.nodes:
-        for j, s in enumerate(node.output_shape):
-            out[node.id, j] = float(s)
+    shapes = [node.output_shape for node in graph.nodes]
+    lens = np.array(list(map(len, shapes)), dtype=np.intp)
+    out = np.zeros((graph.num_nodes, lens.max(initial=0)), dtype=np.float64)
+    rows = np.repeat(np.array([node.id for node in graph.nodes], dtype=np.intp), lens)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lens) - lens, lens)
+    out[rows, cols] = np.array(list(itertools.chain(*shapes)), dtype=np.float64)
     return out
 
 
@@ -192,8 +184,5 @@ def build_features(graph: CompGraph, cfg: FeatureConfig) -> np.ndarray:
     shapes = shape_features(graph)
     in_deg, out_deg = degree_one_hots(graph)
     fractal = fractal_dimensions(graph).reshape(-1, 1)
-    rank = graph.plan.topo.rank
-    pos = np.vstack(
-        [positional_encoding(rank[v], cfg) for v in range(graph.num_nodes)]
-    ) if graph.num_nodes else np.zeros((0, cfg.d_pos))
+    pos = positional_encodings(graph.plan.topo.rank, cfg)
     return np.hstack([types, shapes, in_deg, out_deg, fractal, pos])

@@ -10,13 +10,16 @@ predecessors in edge order, and the topological sort, the cycle witness,
 the simulation plan, co-location and the degree features all read it.
 `contract_edges` lifts edges through a node-to-group map; co-location and
 the pooling of `dagplace.partition` both contract with it.
+`validate` makes C-level passes and scans in order only to name a fault.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -104,6 +107,11 @@ class CompGraph:
         return tuple(s + p for s, p in zip(self.neighbors.succ, self.neighbors.pred))
 
     @cached_property
+    def volumes(self) -> tuple[float, ...]:
+        """Each node's output volume; OverflowError past the float64 range."""
+        return tuple(volume(node.output_shape) for node in self.nodes)
+
+    @cached_property
     def plan(self) -> SimulationPlan:
         """The topological order and what the latency simulator reads;
         raises CycleDetected on cyclic input."""
@@ -111,7 +119,7 @@ class CompGraph:
         return SimulationPlan(
             topo=topo_sort(self),
             preds=self.neighbors.pred,
-            volumes=tuple(volume(node.output_shape) for node in self.nodes),
+            volumes=self.volumes,
             op_types=ops,
             op_range=(min(ops, default=0), max(ops, default=0)),
         )
@@ -144,18 +152,37 @@ def validate(graph: CompGraph) -> None:
     """Check every CompGraph invariant; raise the matching GraphError.
 
     Checks, in order: dense node ids, op-type bounds, edge endpoints,
-    self-loops, duplicate edges, acyclicity.
+    self-loops, duplicate edges, acyclicity. An ordered scan names the
+    first fault only when one of the C-level passes finds one.
     """
     n = graph.num_nodes
     ids = sorted(node.id for node in graph.nodes)
     if ids != list(range(n)):
-        raise InvalidNode(f"node ids must be exactly 0..{n - 1}, got {ids}")
+        missing = min(set(range(n)).difference(ids))
+        bad = next(i for k, i in enumerate(ids) if not 0 <= i < n or k and ids[k - 1] == i)
+        raise InvalidNode(
+            f"node ids must be exactly 0..{n - 1}: id {missing} is missing, "
+            f"id {bad} is {'repeated' if 0 <= bad < n else 'out of range'}"
+        )
+    ops = [node.op_type for node in graph.nodes]
+    dims = itertools.chain.from_iterable(node.output_shape for node in graph.nodes)
+    ends = list(itertools.chain.from_iterable(graph.edges))
+    if (
+        not 0 <= min(ops, default=0) <= max(ops, default=0) < graph.num_op_types
+        or min(dims, default=0) < 0
+        or not 0 <= min(ends, default=0) <= max(ends, default=0) < n
+        or any(map(operator.eq, ends[0::2], ends[1::2]))
+        or len(set(graph.edges)) < len(graph.edges)
+    ):
+        _raise_first_fault(graph)
+    graph.plan  # raises CycleDetected on cyclic input
+
+
+def _raise_first_fault(graph: CompGraph) -> None:
+    n, t = graph.num_nodes, graph.num_op_types
     for node in graph.nodes:
-        if not 0 <= node.op_type < graph.num_op_types:
-            raise InvalidNode(
-                f"node {node.id} op_type {node.op_type} outside "
-                f"[0, {graph.num_op_types})"
-            )
+        if not 0 <= node.op_type < t:
+            raise InvalidNode(f"node {node.id} op_type {node.op_type} outside [0, {t})")
         if any(s < 0 for s in node.output_shape):
             raise InvalidNode(f"node {node.id} has negative output_shape entry")
     seen: set[tuple[int, int]] = set()
@@ -167,7 +194,6 @@ def validate(graph: CompGraph) -> None:
         if (u, v) in seen:
             raise DuplicateEdge(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    graph.plan  # raises CycleDetected on cyclic input
 
 
 def volume(shape: tuple[int, ...]) -> float:
@@ -296,24 +322,21 @@ def colocate(graph: CompGraph) -> tuple[CompGraph, list[int]]:
         np.bincount(dst, minlength=n)[dst] == 1
     )
     ids, count = components(n, src[chain], dst[chain])
-    membership = ids.tolist()
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(membership):
-        groups[c].append(v)
-
-    coarse_nodes = []
-    for i, group in enumerate(groups):
-        type_sum = sum(graph.nodes[v].op_type for v in group)
-        base, rem = divmod(type_sum, len(group))
-        op_type = base + 1 if 2 * rem > len(group) else base  # half rounds down
-        last = max(group, key=lambda v: order.rank[v])
-        coarse_nodes.append(OpNode(i, op_type, graph.nodes[last].output_shape))
+    sizes = np.bincount(ids, minlength=count)
+    type_sums = np.zeros(count, dtype=np.int64)
+    np.add.at(type_sums, ids, np.asarray(graph.plan.op_types, dtype=np.int64))
+    base, rem = np.divmod(type_sums, sizes)
+    op_types = base + (2 * rem > sizes)  # half rounds down
+    # members sorted by group, then rank: each group's run ends at its last
+    last = np.lexsort((order.rank, ids))[np.cumsum(sizes) - 1]
+    shapes = [graph.nodes[v].output_shape for v in last.tolist()]
+    coarse_nodes = tuple(map(OpNode, range(count), op_types.tolist(), shapes))
 
     coarse_src, coarse_dst = contract_edges(ids, count, src, dst)
     coarse_edges = tuple(zip(coarse_src.tolist(), coarse_dst.tolist()))
-    coarse = CompGraph(tuple(coarse_nodes), coarse_edges, graph.num_op_types)
+    coarse = CompGraph(coarse_nodes, coarse_edges, graph.num_op_types)
     validate(coarse)
-    return coarse, membership
+    return coarse, ids.tolist()
 
 
 def load_graph(path: str | Path) -> CompGraph:
@@ -335,16 +358,18 @@ def load_graph(path: str | Path) -> CompGraph:
         num_op_types = int(data["num_op_types"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidNode(f"malformed graph file {path}: {exc}") from exc
-    for node in nodes:
-        try:
-            volume(node.output_shape)
-        except OverflowError:
-            raise ValueError(
-                f"graph file {path}: node {node.id} output_shape volume "
-                "overflows float64"
-            ) from None
-    nodes.sort(key=lambda node: node.id)
-    g = CompGraph(tuple(nodes), tuple(edges), num_op_types)
+    g = CompGraph(tuple(sorted(nodes, key=lambda node: node.id)), tuple(edges), num_op_types)
+    try:
+        g.volumes
+    except OverflowError:
+        for node in nodes:  # the first in file order
+            try:
+                volume(node.output_shape)
+            except OverflowError:
+                raise ValueError(
+                    f"graph file {path}: node {node.id} output_shape volume "
+                    "overflows float64"
+                ) from None
     validate(g)
     return g
 

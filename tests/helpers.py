@@ -7,7 +7,15 @@ import itertools
 import numpy as np
 
 from dagplace.autograd import Tensor, Workspace
-from dagplace.graph import CompGraph, volume
+from dagplace.graph import (
+    CompGraph,
+    DanglingEdge,
+    DuplicateEdge,
+    InvalidNode,
+    OpNode,
+    SelfLoop,
+    volume,
+)
 from dagplace.partition import PooledGraph
 
 
@@ -108,8 +116,13 @@ def ball_sizes_reference(graph: CompGraph, v: int) -> np.ndarray:
 def fractal_dimension_reference(graph: CompGraph, v: int) -> float:
     """Bit-identity reference for one node's fractal dimension: one BFS from
     v and the least-squares slope of log N(v, r) against log r."""
-    counts = ball_sizes_reference(graph, v)
     # BFS levels are contiguous, so the distinct distances are 1..len(counts)
+    return fit_slope_reference(ball_sizes_reference(graph, v))
+
+
+def fit_slope_reference(counts: np.ndarray) -> float:
+    """One node's least-squares slope of log counts[r - 1] against log r,
+    r >= 1; 0.0 for fewer than two points."""
     if len(counts) < 2:
         return 0.0
     x = np.log(np.arange(1, len(counts) + 1, dtype=np.float64))
@@ -120,6 +133,50 @@ def fractal_dimension_reference(graph: CompGraph, v: int) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
     return float(np.dot(xc, yc) / np.dot(xc, xc))
+
+
+def positional_encoding_reference(rank: int, cfg) -> np.ndarray:
+    """One rank's sinusoidal encoding, entry by entry: entry 2i is
+    sin(rank / base^(2i/d_pos)) and entry 2i+1 the matching cos."""
+    out = np.empty(cfg.d_pos, dtype=np.float64)
+    for i in range(cfg.d_pos // 2):
+        angle = rank / cfg.pe_base ** (2 * i / cfg.d_pos)
+        out[2 * i] = np.sin(angle)
+        out[2 * i + 1] = np.cos(angle)
+    return out
+
+
+def build_features_reference(graph: CompGraph, cfg) -> np.ndarray:
+    """`build_features` from per-node and per-rank loops: every segment is
+    filled one node at a time, and the fractal column fits each node's ball
+    sizes (from the shared bitset BFS) on its own."""
+    from dagplace.features import ball_sizes
+
+    n, t = graph.num_nodes, graph.num_op_types
+    types = np.zeros((n, t))
+    width = max((len(node.output_shape) for node in graph.nodes), default=0)
+    shapes = np.zeros((n, width))
+    for node in graph.nodes:
+        types[node.id, node.op_type] = 1.0
+        for j, s in enumerate(node.output_shape):
+            shapes[node.id, j] = float(s)
+    degrees = []
+    for lists in (graph.neighbors.pred, graph.neighbors.succ):
+        values = [len(x) for x in lists]
+        col = {d: j for j, d in enumerate(sorted(set(values)))}
+        out = np.zeros((n, len(col)))
+        for v, d in enumerate(values):
+            out[v, col[d]] = 1.0
+        degrees.append(out)
+    balls, ecc = ball_sizes(graph)
+    fractal = np.array(
+        [fit_slope_reference(balls[1 : e + 1, v]) for v, e in enumerate(ecc.tolist())]
+    ).reshape(-1, 1)
+    rank = graph.plan.topo.rank
+    pos = np.array(
+        [positional_encoding_reference(rank[v], cfg) for v in range(n)]
+    ).reshape(n, cfg.d_pos)
+    return np.hstack([types, shapes, *degrees, fractal, pos])
 
 
 def fractal_dimension_oracle(graph: CompGraph, v: int) -> float:
@@ -268,6 +325,56 @@ def colocate_membership_reference(graph: CompGraph) -> list[int]:
         if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
     )
     return components_reference(graph.num_nodes, pairs)[0].tolist()
+
+
+def colocate_reference(graph: CompGraph) -> tuple[CompGraph, list[int]]:
+    """Co-location folded group by group: the membership of
+    `colocate_membership_reference`, each group's rounded-mean op type
+    (ties round down) and the shape of its member of highest topological
+    rank, and the coarse edges from a set of group pairs."""
+    membership = colocate_membership_reference(graph)
+    groups: list[list[int]] = [[] for _ in range(max(membership, default=-1) + 1)]
+    for v, c in enumerate(membership):
+        groups[c].append(v)
+    rank = graph.plan.topo.rank
+    nodes = []
+    for i, group in enumerate(groups):
+        base, rem = divmod(sum(graph.nodes[v].op_type for v in group), len(group))
+        op_type = base + 1 if 2 * rem > len(group) else base
+        last = max(group, key=lambda v: rank[v])
+        nodes.append(OpNode(i, op_type, graph.nodes[last].output_shape))
+    edges = sorted(
+        {(membership[u], membership[v]) for u, v in graph.edges}
+        - {(c, c) for c in range(len(groups))}
+    )
+    return CompGraph(tuple(nodes), tuple(edges), graph.num_op_types), membership
+
+
+def validate_reference(graph: CompGraph) -> None:
+    """`validate` as one node-by-node, then edge-by-edge scan, raising at
+    the first fault; its id message lists every id."""
+    n = graph.num_nodes
+    ids = sorted(node.id for node in graph.nodes)
+    if ids != list(range(n)):
+        raise InvalidNode(f"node ids must be exactly 0..{n - 1}, got {ids}")
+    for node in graph.nodes:
+        if not 0 <= node.op_type < graph.num_op_types:
+            raise InvalidNode(
+                f"node {node.id} op_type {node.op_type} outside "
+                f"[0, {graph.num_op_types})"
+            )
+        if any(s < 0 for s in node.output_shape):
+            raise InvalidNode(f"node {node.id} has negative output_shape entry")
+    seen: set[tuple[int, int]] = set()
+    for u, v in graph.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DanglingEdge(f"edge ({u}, {v}) references a missing node id")
+        if u == v:
+            raise SelfLoop(f"self-loop on node {u}")
+        if (u, v) in seen:
+            raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    graph.plan  # raises CycleDetected on cyclic input
 
 
 class NanWorkspace(Workspace):

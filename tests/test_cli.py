@@ -532,3 +532,22 @@ def test_train_skip_optimal_row(tmp_path, dominant_files):
     methods = [r[0] for r in read_csv(out / "results.csv")[1:]]
     assert "optimal" not in methods
     assert methods[-2:] == ["trained-best", "trained-greedy"]
+
+
+@pytest.mark.parametrize("bad_id, fault", [(10_000, "id 10000 is out of range"),
+                                           (4_999, "id 4999 is repeated")])
+def test_train_names_first_faulty_ids_of_a_large_graph(tmp_path, capsys, dominant_files,
+                                                      bad_id, fault):
+    """A 10k-node file with one bad id exits 2 with a message naming the
+    missing id and the bad one, not the whole id list."""
+    _, cm_path = dominant_files
+    nodes = [{"id": v, "op_type": 0, "output_shape": [2]} for v in range(10_000)]
+    nodes[5_000]["id"] = bad_id
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"num_op_types": 1, "nodes": nodes, "edges": []}))
+    assert main(["train", "--graph", str(path), "--cost-model", cm_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"id 5000 is missing, {fault}" in err
+    assert len(err) < 120, len(err)
+    assert not (tmp_path / "out").exists()

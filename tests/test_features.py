@@ -12,7 +12,7 @@ from dagplace.features import (
     degree_one_hots,
     fractal_dimensions,
     one_hot_types,
-    positional_encoding,
+    positional_encodings,
     shape_features,
 )
 from dagplace.fixtures import (
@@ -24,8 +24,11 @@ from dagplace.fixtures import (
 from dagplace.graph import CompGraph, OpNode, colocate, make_graph, topo_sort
 from helpers import (
     ball_sizes_reference,
+    build_features_reference,
+    colocate_reference,
     fractal_dimension_oracle,
     fractal_dimension_reference,
+    positional_encoding_reference,
 )
 
 
@@ -143,11 +146,12 @@ def test_ball_sizes_equal_per_node_bfs(g):
     """The all-sources bitset BFS gives every node the ball sizes and the
     fractal dimension, bit for bit, of one BFS from that node, across
     uint64 word boundaries and degenerate graphs."""
-    balls = ball_sizes(g)
+    balls, ecc = ball_sizes(g)
     dims = fractal_dimensions(g)
-    assert len(balls) == g.num_nodes and dims.shape == (g.num_nodes,)
+    assert ecc.shape == dims.shape == (g.num_nodes,)
     for v in range(g.num_nodes):
-        assert np.array_equal(balls[v], ball_sizes_reference(g, v)), v
+        assert np.array_equal(balls[1 : ecc[v] + 1, v], ball_sizes_reference(g, v)), v
+        assert (balls[ecc[v] :, v] == balls[-1, v]).all(), v
         assert dims[v] == fractal_dimension_reference(g, v), v
 
 
@@ -184,13 +188,13 @@ def test_fractal_dimensions_memory_below_one_byte_per_pair():
 
 def test_positional_encoding_rank_zero():
     cfg = FeatureConfig(d_pos=8)
-    out = positional_encoding(0, cfg)
+    out = positional_encodings([0], cfg)[0]
     assert np.array_equal(out, [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_positional_encoding_entries():
     cfg = FeatureConfig(d_pos=16, pe_base=10000.0)
-    out = positional_encoding(3, cfg)
+    out = positional_encodings([3], cfg)[0]
     for i in range(8):
         angle = 3 / 10000.0 ** (2 * i / 16)
         assert out[2 * i] == pytest.approx(math.sin(angle), abs=1e-15)
@@ -199,7 +203,7 @@ def test_positional_encoding_entries():
 
 def test_positional_encoding_rejects_negative_rank():
     with pytest.raises(ValueError):
-        positional_encoding(-1, FeatureConfig())
+        positional_encodings([-1], FeatureConfig())
 
 
 def test_build_features_layout_and_segments(diamond):
@@ -221,7 +225,7 @@ def test_build_features_layout_and_segments(diamond):
 
     rank = topo_sort(diamond).rank
     for v in range(4):
-        assert np.array_equal(pos[v], positional_encoding(rank[v], cfg))
+        assert np.array_equal(pos[v], positional_encoding_reference(rank[v], cfg))
 
 
 def test_build_features_empty_graph():
@@ -238,5 +242,49 @@ def test_build_features_positions_follow_topo_rank():
     cfg = FeatureConfig(d_pos=4)
     values = build_features(g, cfg)
     # topo order is (2, 0, 1), so node 2 carries the rank-0 encoding
-    assert np.array_equal(values[2, -4:], positional_encoding(0, cfg))
-    assert np.array_equal(values[0, -4:], positional_encoding(1, cfg))
+    assert np.array_equal(values[2, -4:], positional_encoding_reference(0, cfg))
+    assert np.array_equal(values[0, -4:], positional_encoding_reference(1, cfg))
+
+
+def test_positional_encodings_equal_per_rank_reference():
+    cfg = FeatureConfig(d_pos=16, pe_base=10000.0)
+    ranks = list(range(0, 20000, 7))
+    table = positional_encodings(ranks, cfg)
+    for r, row in zip(ranks, table):
+        assert row.tobytes() == positional_encoding_reference(r, cfg).tobytes(), r
+
+
+def assert_setup_equals_reference(g: CompGraph) -> None:
+    """Features and co-location of `g` and of its co-located graph equal
+    the loop references byte for byte."""
+    cfg = FeatureConfig()
+    coarse, membership = colocate(g)
+    assert (coarse, membership) == colocate_reference(g)
+    for graph in (g, coarse):
+        ours, ref = build_features(graph, cfg), build_features_reference(graph, cfg)
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", (1, 2, 50, 400, 2000))
+@pytest.mark.parametrize("gen", (random_dag, inception_like), ids=lambda f: f.__name__)
+def test_setup_equals_loop_reference(gen, n, seed):
+    assert_setup_equals_reference(gen(n, seed=seed))
+
+
+def test_setup_equals_loop_reference_across_pairwise_sum_boundaries():
+    """numpy sums up to 8 terms in a plain loop, up to 128 in eight
+    unrolled lanes and splits longer sums in halves; the grouped fit sums
+    each node's row in the same order as a one-node fit across all three."""
+    cases = [chain_graph(4, seed=0), chain_graph(10, seed=0), chain_graph(130, seed=0),
+             inception_like(2000, seed=0)]
+    eccs = set().union(*(ball_sizes(g)[1].tolist() for g in cases))
+    assert {2, 3, 7, 8, 9, 127, 128, 129} <= eccs and max(eccs) > 700
+    for g in cases:
+        assert_setup_equals_reference(g)
+
+
+@pytest.mark.parametrize("nodes", (0, 1, 30), ids=("empty", "single", "edgeless"))
+def test_setup_equals_loop_reference_without_edges(nodes):
+    g = make_graph([(v, v % 3, (v, 2)) for v in range(nodes)], [], num_op_types=3)
+    assert_setup_equals_reference(g)

@@ -22,7 +22,12 @@ from dagplace.graph import (
     topo_sort,
     validate,
 )
-from helpers import colocate_membership_reference, components_reference, edge_array
+from helpers import (
+    colocate_membership_reference,
+    components_reference,
+    edge_array,
+    validate_reference,
+)
 
 
 def test_make_graph_accepts_tuples_and_opnodes():
@@ -360,3 +365,66 @@ def test_load_graph_validates_cycles(tmp_path):
 def test_validate_passes_valid_graph_constructed_directly(diamond):
     g = CompGraph(diamond.nodes, diamond.edges, diamond.num_op_types)
     validate(g)
+
+
+@st.composite
+def faulty_graphs(draw):
+    """Small graphs with several faults at once: sparse, repeated or
+    out-of-range ids, op types outside [0, 3), negative shape entries,
+    dangling edges, self-loops, duplicate edges and cycles."""
+    n = draw(st.integers(0, 7))
+    ids = draw(st.permutations(range(n)))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 1))
+    nodes = tuple(
+        OpNode(i, draw(st.integers(-1, 3)), tuple(draw(st.lists(st.integers(-1, 4), max_size=2))))
+        for i in ids
+    )
+    end = st.integers(-1, n)
+    edges = draw(st.lists(st.tuples(end, end), max_size=10))
+    if edges and draw(st.booleans()):
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+    return nodes, tuple(edges)
+
+
+def _raised(fn, graph):
+    try:
+        fn(graph)
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=faulty_graphs())
+@example(case=((OpNode(0, 5, (-1,)), OpNode(0, 0, ())), ((0, 0),)))
+@example(case=((OpNode(0, 0, (-1,)), OpNode(1, 9, ())), ((0, 2), (1, 1))))
+@example(case=((OpNode(0, 0, ()), OpNode(1, 0, ())), ((0, 1), (0, 1), (1, 0))))
+def test_validate_raises_what_the_ordered_scan_raises(case):
+    """The one-pass checks of `validate` fall back to an ordered scan, so
+    it raises the class and message of a node-by-node, edge-by-edge check;
+    only the message for non-dense ids is shorter."""
+    nodes, edges = case
+    ours = _raised(validate, CompGraph(nodes, edges, 3))
+    ref = _raised(validate_reference, CompGraph(nodes, edges, 3))
+    if ref and ref[1].startswith("node ids must be exactly"):
+        assert ours[0] is InvalidNode and "is missing" in ours[1], ours
+    else:
+        assert ours == ref
+
+
+@pytest.mark.parametrize(
+    "ids, missing, extra",
+    [
+        ([0, 1, 1, 3], 2, "id 1 is repeated"),
+        ([0, 2], 1, "id 2 is out of range"),
+        ([-1, 0, 1], 2, "id -1 is out of range"),
+        ([3, 0, 1, 5], 2, "id 5 is out of range"),
+    ],
+)
+def test_non_dense_ids_name_first_missing_and_first_extra(ids, missing, extra):
+    with pytest.raises(InvalidNode) as exc:
+        make_graph([(i, 0, ()) for i in ids], [], num_op_types=1)
+    assert str(exc.value) == (
+        f"node ids must be exactly 0..{len(ids) - 1}: id {missing} is missing, {extra}"
+    )
