@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Wall time of one `simulate` call on raw and co-located graphs.
+
+For each graph (inception_like and random_dag at 400, 1000, 3000 and 10000
+nodes, graph and cost seed 0, raw and co-located), each of PROCESSES fresh
+processes builds the graph and a 2-device `random_cost_model`, times the
+first `simulate` call (which also builds what the graph caches for the
+simulator beyond its plan), then scores 8 seeded random placements in
+batches until --seconds is spent. A process's per-call time is its median
+batch time over 8; each reported figure is the median of the process
+figures. Whole processes on one shared machine can run half again as slow
+as others for minutes at a time, so the processes run in rounds over all
+graphs rather than one graph after another. BLAS is pinned to one thread.
+
+Each graph's record also gives its node, edge and level counts (a level is
+the longest path from a source, in edges) and the sweep `simulate` took:
+"level" or "scalar" ("scalar" for a library that has only that one).
+Writes one JSON record.
+
+Usage:
+    python3 scripts/simulate_rates.py [--seconds S] [--toy] [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from collections import Counter, defaultdict
+
+import numpy as np
+
+SIZES, TOY_SIZES = (400, 1000, 3000, 10000), (30, 60)
+GENERATORS = ("inception_like", "random_dag")
+FORMS = ("raw", "colocated")
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PROCESSES = 5
+PLACEMENTS = 8
+SWEEPS = {"_level_sweep": "level", "_scalar_sweep": "scalar"}
+
+
+def level_count(graph) -> int:
+    """Levels of the graph, from its own pass over the topological order."""
+    depth = [0] * graph.num_nodes
+    for v in graph.plan.topo.order:
+        for u in graph.plan.preds[v]:
+            depth[v] = max(depth[v], depth[u] + 1)
+    return max(depth, default=-1) + 1
+
+
+def measure_one(kind: str, nodes: int, form: str, seconds: float) -> dict:
+    """Time `simulate` on one graph, in this process."""
+    from dagplace import fixtures, graph, simulator
+
+    taken: Counter = Counter()
+    for name, label in SWEEPS.items():
+        if hasattr(simulator, name):
+            kernel = getattr(simulator, name)
+            setattr(simulator, name,
+                    lambda *a, _k=kernel, _l=label: taken.update([_l]) or _k(*a))
+
+    g = getattr(fixtures, kind)(nodes, 0)
+    if form == "colocated":
+        g, _ = graph.colocate(g)
+    cm = fixtures.random_cost_model(g.num_op_types, 2, 0)
+    placements = list(np.random.default_rng(0).integers(0, 2, size=(PLACEMENTS, g.num_nodes)))
+    simulate = simulator.simulate
+    t0 = time.perf_counter()
+    simulate(g, placements[0], cm)
+    first = time.perf_counter() - t0
+    batches = []
+    deadline = time.perf_counter() + seconds
+    while not batches or time.perf_counter() < deadline:
+        t0 = time.perf_counter()
+        for p in placements:
+            simulate(g, p, cm)
+        batches.append(time.perf_counter() - t0)
+    return {
+        "nodes": g.num_nodes,
+        "edges": g.num_edges,
+        "levels": level_count(g),
+        "sweep": "scalar" if not taken else "+".join(sorted(taken)),
+        "first_call_us": first * 1e6,
+        "per_call_us": statistics.median(batches) / PLACEMENTS * 1e6,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seconds", type=float, default=0.5, help="timing per process and graph")
+    p.add_argument("--toy", action="store_true", help="tens of nodes, for a smoke test")
+    p.add_argument("--out", default="BENCH_simulate.json")
+    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "FORM"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.seconds <= 0:
+        p.error("--seconds must be positive")
+    if args.graph:  # the child process: print one graph's record
+        kind, nodes, form = args.graph
+        print(json.dumps(measure_one(kind, int(nodes), form, args.seconds)))
+        return 0
+
+    env = dict(os.environ, **{k: "1" for k in THREADS})
+    specs = [(kind, n, form) for kind in GENERATORS
+             for n in (TOY_SIZES if args.toy else SIZES) for form in FORMS]
+    runs: dict[tuple[str, int, str], list[dict]] = defaultdict(list)
+    for _ in range(PROCESSES):  # rounds over all graphs, so a slow spell hits several
+        for kind, nodes, form in specs:
+            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), form,
+                   "--seconds", str(args.seconds)]
+            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+            runs[kind, nodes, form].append(json.loads(out.stdout))
+    graphs = {}
+    for (kind, nodes, form), records in runs.items():
+        per_call = [r["per_call_us"] for r in records]
+        first = [r["first_call_us"] for r in records]
+        r = records[0]
+        graphs[f"{kind}-{nodes}-{form}"] = {
+            "nodes": r["nodes"], "edges": r["edges"], "levels": r["levels"],
+            "sweep": r["sweep"],
+            "per_call_us": statistics.median(per_call),
+            "first_call_us": statistics.median(first),
+            "process_per_call_us": per_call,
+        }
+        print(f"{kind}-{nodes}-{form}: {r['nodes']} nodes, {r['edges']} edges, "
+              f"{r['levels']} levels, {r['sweep']} sweep: "
+              f"{statistics.median(per_call):.0f} us a call, first "
+              f"{statistics.median(first):.0f} us")
+    record = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "blas_threads": 1,
+        "processes": PROCESSES,
+        "placements": PLACEMENTS,
+        "seconds": args.seconds,
+        "toy": args.toy,
+        "graphs": graphs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,8 @@ A graph is immutable, so what is derived from its edges is built once and
 cached: `CompGraph.neighbors` holds every node's successors and
 predecessors in edge order, and the topological sort, the cycle witness,
 the simulation plan, co-location and the degree features all read it.
+Nodes are stored in id order, so every per-node table reads node v at
+position v.
 `contract_edges` lifts edges through a node-to-group map; co-location and
 the pooling of `dagplace.partition` both contract with it.
 `validate` makes C-level passes and scans in order only to name a fault.
@@ -124,6 +126,13 @@ class CompGraph:
             op_range=(min(ops, default=0), max(ops, default=0)),
         )
 
+    @cached_property
+    def levels(self) -> LevelTable:
+        """The plan grouped by topological level, for the simulator's level
+        sweep. Built on the first `simulate` call, not by `validate`, so
+        loading a graph does not pay for it."""
+        return level_table(self.plan)
+
 
 @dataclass(frozen=True)
 class Neighbors:
@@ -138,12 +147,13 @@ def make_graph(
     edges: list[tuple[int, int]],
     num_op_types: int,
 ) -> CompGraph:
-    """Construct and validate a CompGraph; nodes may be OpNode or (id, type, shape)."""
-    built = tuple(
-        n if isinstance(n, OpNode) else OpNode(n[0], n[1], tuple(n[2]))
-        for n in nodes
+    """Construct and validate a CompGraph; nodes may be OpNode or (id, type,
+    shape), in any order: they are kept sorted by id, as `load_graph` does."""
+    built = sorted(
+        (n if isinstance(n, OpNode) else OpNode(n[0], n[1], tuple(n[2])) for n in nodes),
+        key=operator.attrgetter("id"),
     )
-    g = CompGraph(built, tuple((int(u), int(v)) for u, v in edges), num_op_types)
+    g = CompGraph(tuple(built), tuple((int(u), int(v)) for u, v in edges), num_op_types)
     validate(g)
     return g
 
@@ -151,19 +161,26 @@ def make_graph(
 def validate(graph: CompGraph) -> None:
     """Check every CompGraph invariant; raise the matching GraphError.
 
-    Checks, in order: dense node ids, op-type bounds, edge endpoints,
-    self-loops, duplicate edges, acyclicity. An ordered scan names the
-    first fault only when one of the C-level passes finds one.
+    Checks, in order: dense node ids, nodes stored in id order (every
+    per-node table reads node v at position v), op-type bounds, edge
+    endpoints, self-loops, duplicate edges, acyclicity. An ordered scan
+    names the first fault only when one of the C-level passes finds one.
     """
     n = graph.num_nodes
-    ids = sorted(node.id for node in graph.nodes)
+    ids = [node.id for node in graph.nodes]
     if ids != list(range(n)):
-        missing = min(set(range(n)).difference(ids))
-        bad = next(i for k, i in enumerate(ids) if not 0 <= i < n or k and ids[k - 1] == i)
-        raise InvalidNode(
-            f"node ids must be exactly 0..{n - 1}: id {missing} is missing, "
-            f"id {bad} is {'repeated' if 0 <= bad < n else 'out of range'}"
-        )
+        dense = sorted(ids)
+        if dense != list(range(n)):
+            missing = min(set(range(n)).difference(dense))
+            bad = next(
+                i for k, i in enumerate(dense) if not 0 <= i < n or k and dense[k - 1] == i
+            )
+            raise InvalidNode(
+                f"node ids must be exactly 0..{n - 1}: id {missing} is missing, "
+                f"id {bad} is {'repeated' if 0 <= bad < n else 'out of range'}"
+            )
+        pos = next(k for k, i in enumerate(ids) if k != i)
+        raise InvalidNode(f"node at position {pos} has id {ids[pos]}: nodes must be in id order")
     ops = [node.op_type for node in graph.nodes]
     dims = itertools.chain.from_iterable(node.output_shape for node in graph.nodes)
     ends = list(itertools.chain.from_iterable(graph.edges))
@@ -215,13 +232,87 @@ class SimulationPlan:
     `CompGraph.plan`: the topological order, each node's predecessors in
     edge order, each node's output volume (what it sends along every
     out-edge), and each node's op type with the (min, max) of all of them,
-    so a cost model's coverage is checked without a pass over the nodes."""
+    so a cost model's coverage is checked without a pass over the nodes.
+    The scalar sweep of `simulate` and `simulate_many` read it node by
+    node; the level sweep of `simulate` reads it regrouped by level, as
+    the `LevelTable` cached as `CompGraph.levels`."""
 
     topo: TopoOrder
     preds: tuple[tuple[int, ...], ...]
     volumes: tuple[float, ...]
     op_types: tuple[int, ...]
     op_range: tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class LevelTable:
+    """The simulation plan regrouped by level, built once and cached as
+    `CompGraph.levels`. A node's level is its depth: the longest path to it
+    from a source, in edges, so all its predecessors sit at lower levels.
+
+    Nodes are renumbered by their position in `order` (by level, then id),
+    so each level is one run of positions. Edges are sorted by the position
+    of their destination, so each level's in-edges are one run too, and
+    each destination's in-edges a run inside it.
+
+    order: node ids by level, then id
+    op_types: the op type at each position
+    src, dst: each edge's source and destination positions
+    volumes: each edge's source output volume
+    heads: the first in-edge of each position (E after the last)
+    node_bounds, edge_bounds: level l holds positions node_bounds[l] to
+        node_bounds[l + 1] - 1, and their in-edges edge_bounds[l] to
+        edge_bounds[l + 1] - 1
+    """
+
+    order: np.ndarray
+    op_types: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    volumes: np.ndarray
+    heads: np.ndarray
+    node_bounds: tuple[int, ...]
+    edge_bounds: tuple[int, ...]
+
+    @property
+    def count(self) -> int:
+        """The number of levels (0 for the empty graph)."""
+        return len(self.node_bounds) - 1
+
+
+def level_table(plan: SimulationPlan) -> LevelTable:
+    """Depths from one pass of the topological order, then array passes:
+    one stable argsort of the depths and one of the edge destinations."""
+    preds = plan.preds
+    n = len(preds)
+    depth = [0] * n
+    for v in plan.topo.order:
+        if preds[v]:
+            depth[v] = 1 + max(map(depth.__getitem__, preds[v]))
+    depths = np.array(depth, dtype=np.intp)
+    order = np.argsort(depths, kind="stable")
+    count = int(depths.max(initial=-1)) + 1
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    fan_in = np.fromiter(map(len, preds), dtype=np.intp, count=n)
+    src = np.fromiter(
+        itertools.chain.from_iterable(preds), dtype=np.intp, count=int(fan_in.sum())
+    )
+    dst = np.repeat(position, fan_in)
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    heads = np.searchsorted(dst, np.arange(n + 1))
+    nodes = np.searchsorted(depths[order], np.arange(count + 1))
+    return LevelTable(
+        order=order,
+        op_types=np.array(plan.op_types, dtype=np.intp)[order],
+        src=position[src],
+        dst=dst,
+        volumes=np.array(plan.volumes, dtype=np.float64)[src],
+        heads=heads,
+        node_bounds=tuple(nodes.tolist()),
+        edge_bounds=tuple(heads[nodes].tolist()),
+    )
 
 
 def topo_sort(graph: CompGraph) -> TopoOrder:

@@ -357,6 +357,11 @@ def validate_reference(graph: CompGraph) -> None:
     ids = sorted(node.id for node in graph.nodes)
     if ids != list(range(n)):
         raise InvalidNode(f"node ids must be exactly 0..{n - 1}, got {ids}")
+    for pos, node in enumerate(graph.nodes):
+        if node.id != pos:
+            raise InvalidNode(
+                f"node at position {pos} has id {node.id}: nodes must be in id order"
+            )
     for node in graph.nodes:
         if not 0 <= node.op_type < graph.num_op_types:
             raise InvalidNode(

@@ -39,6 +39,21 @@ def test_make_graph_accepts_tuples_and_opnodes():
     assert g1.num_nodes == 2 and g1.num_edges == 1
 
 
+def test_make_graph_sorts_nodes_by_id():
+    g = make_graph([(1, 0, (2,)), (0, 1, (3,))], [(0, 1)], 2)
+    assert [n.id for n in g.nodes] == [0, 1]
+    assert g.plan.op_types == (1, 0) and g.plan.volumes == (3.0, 2.0)
+    assert g == make_graph([(0, 1, (3,)), (1, 0, (2,))], [(0, 1)], 2)
+
+
+def test_validate_rejects_nodes_out_of_id_order():
+    g = CompGraph((OpNode(1, 0, (2,)), OpNode(0, 1, (3,))), ((0, 1),), 2)
+    with pytest.raises(
+        InvalidNode, match=r"^node at position 0 has id 1: nodes must be in id order$"
+    ):
+        validate(g)
+
+
 def test_adjacency_and_degrees(diamond):
     a = diamond.adjacency()
     expected = np.zeros((4, 4))
@@ -370,8 +385,9 @@ def test_validate_passes_valid_graph_constructed_directly(diamond):
 @st.composite
 def faulty_graphs(draw):
     """Small graphs with several faults at once: sparse, repeated or
-    out-of-range ids, op types outside [0, 3), negative shape entries,
-    dangling edges, self-loops, duplicate edges and cycles."""
+    out-of-range ids, nodes out of id order, op types outside [0, 3),
+    negative shape entries, dangling edges, self-loops, duplicate edges
+    and cycles."""
     n = draw(st.integers(0, 7))
     ids = draw(st.permutations(range(n)))
     for _ in range(draw(st.integers(0, 2)) if n else 0):

@@ -1,20 +1,26 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dagplace.fixtures import (
     chain_graph,
     dominant_device_fixture,
     hand_solved_fixture,
+    inception_like,
     random_cost_model,
     random_dag,
     split_fixture,
 )
 from dagplace import graph as graph_module
-from dagplace.graph import CompGraph, make_graph, topo_sort, volume
+from dagplace import simulator as simulator_module
+from dagplace.graph import CompGraph, colocate, make_graph, topo_sort, volume
 from dagplace.simulator import (
     BRUTE_FORCE_LIMIT,
+    LEVEL_SWEEP_WIDTH,
     SEARCH_CHUNK,
     CostModel,
     MissingCost,
@@ -161,6 +167,15 @@ def test_missing_cost_names_the_first_uncosted_node(kernel):
         run(typed, [0, 0, 0])
     with pytest.raises(MissingCost, match=r"^no cost for op_type 3 on device 1$"):
         run(typed, [0, 0, 1])
+    # 130 nodes in 2 levels take the level sweep; topological order 1..129, 0
+    wide = make_graph(
+        [(0, 4, ())] + [(v, 0, ()) for v in range(1, 129)] + [(129, 3, ())], [(129, 0)], 5
+    )
+    assert wide.num_nodes + wide.num_edges >= LEVEL_SWEEP_WIDTH * wide.levels.count
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 3 on device 0$"):
+        run(wide, [0] * 130)
+    with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device 2$"):
+        run(wide, [0] * 7 + [2] + [0] * 122)
     if kernel is simulate_many:  # the first placement that has an uncosted node
         batch = [[0, 0, 0], [0, 1, 1], [0, 5, -1], [7, 0, 0]]
         with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device -1$"):
@@ -202,6 +217,123 @@ def test_simulate_matches_recursive_oracle():
         ours = simulate(g, placement, cm)
         ref = longest_path_latency(g, placement, cm)
         assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def test_simulate_matches_recursive_oracle_on_the_level_path():
+    for seed in range(4):
+        g = random_dag(300, seed=seed)
+        assert g.num_nodes + g.num_edges >= LEVEL_SWEEP_WIDTH * g.levels.count
+        cm = random_cost_model(8, num_devices=3, seed=seed)
+        for placement in np.random.default_rng(seed).integers(0, 3, size=(5, 300)):
+            assert simulate(g, placement, cm) == longest_path_latency(g, placement, cm)
+
+
+def _bits(x: float) -> bytes:
+    """The float64 bit pattern: tells -0.0 from 0.0."""
+    return struct.pack("<d", x)
+
+
+def _sweep_case(graph, num_devices, seed, negative_zeros=(), huge_transfer=False):
+    """A graph, a cost model from `random_cost_model` with the listed
+    (op type, device) compute costs set to -0.0 and every zero transfer
+    rate set to -0.0, and three seeded placements. With `huge_transfer` one
+    cross-device rate is the largest float64, so a transfer of a volume
+    above 1 overflows to inf."""
+    cm = random_cost_model(8, num_devices, seed)
+    compute, transfer = cm.compute.copy(), cm.transfer.copy()
+    for t, d in negative_zeros:
+        compute[t, d] = -0.0
+    transfer[transfer == 0.0] = -0.0
+    if huge_transfer:
+        transfer[0, num_devices - 1] = np.finfo(np.float64).max
+    placements = np.random.default_rng(seed).integers(
+        0, num_devices, size=(3, graph.num_nodes)
+    )
+    return graph, CostModel(compute, transfer), placements
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from(["random_dag", "dense_dag", "inception_like", "chain"]))
+    n = draw(st.integers(1, 80))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "random_dag":
+        g = random_dag(n, seed=seed)
+    elif kind == "dense_dag":  # fan-ins above 1
+        g = random_dag(n, seed=seed, num_edges=draw(st.integers(0, 3 * n)))
+    elif kind == "inception_like":
+        g = inception_like(n, seed=seed)
+    else:
+        g = chain_graph(n, seed=seed)
+    if draw(st.booleans()):
+        g = colocate(g)[0]
+    d = draw(st.integers(2, 4))
+    zeros = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, d - 1)), max_size=8))
+    return _sweep_case(g, d, seed, zeros, draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sweep_cases())
+@example(case=_sweep_case(make_graph([], [], 8), 2, 0))
+@example(case=_sweep_case(make_graph([(0, 3, (2,))], [], 8), 3, 1, [(3, 0), (3, 1), (3, 2)]))
+@example(case=_sweep_case(make_graph([(v, v % 8, (v + 1,)) for v in range(9)], [], 8), 4, 2))
+@example(case=_sweep_case(chain_graph(12, seed=3), 2, 3, [(t, 1) for t in range(8)], True))
+@example(case=_sweep_case(colocate(random_dag(200, seed=4))[0], 3, 4, [], True))
+def test_level_sweep_equals_scalar_sweep(case):
+    """Both kernels run on every graph, whatever `simulate` picks, and
+    return the same float64 bits, -0.0 costs and inf latencies included."""
+    g, cm, placements = case
+    for p in placements:
+        scalar = simulator_module._scalar_sweep(g.plan, p, cm)
+        level = simulator_module._level_sweep(g.levels, p, cm)
+        assert type(scalar) is float and type(level) is float
+        assert _bits(level) == _bits(scalar)
+        assert _bits(simulate(g, p, cm)) == _bits(scalar)
+
+
+def test_level_sweep_overflows_to_inf_without_a_warning():
+    g = make_graph([(0, 0, (4,)), (1, 0, ())], [(0, 1)], 1)
+    huge = np.finfo(np.float64).max
+    cm = CostModel([[1.0, 1.0]], [[0.0, huge], [huge, 0.0]])
+    p = np.array([0, 1])
+    assert simulator_module._level_sweep(g.levels, p, cm) == math.inf
+    assert simulator_module._scalar_sweep(g.plan, p, cm) == math.inf
+
+
+def _search_18_graph() -> CompGraph:
+    """split_fixture and hand_solved_fixture as two components, the shape
+    of the benchmark's exhaustive-search graph."""
+    split, _ = split_fixture()
+    hand, _, _, _ = hand_solved_fixture()
+    base = split.num_nodes
+    return make_graph(
+        list(split.nodes) + [(base + v.id, v.op_type, v.output_shape) for v in hand.nodes],
+        list(split.edges) + [(base + u, base + v) for u, v in hand.edges],
+        3,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, sweep",
+    [
+        (lambda: random_dag(2000, seed=0), "_level_sweep"),
+        (lambda: colocate(random_dag(2000, seed=0))[0], "_level_sweep"),
+        (lambda: inception_like(1000, seed=0), "_scalar_sweep"),
+        (_search_18_graph, "_scalar_sweep"),
+    ],
+)
+def test_simulate_dispatches_on_graph_depth(monkeypatch, make, sweep):
+    g = make()
+    cm = random_cost_model(8, num_devices=2, seed=0)
+    calls = []
+    for name in ("_level_sweep", "_scalar_sweep"):
+        kernel = getattr(simulator_module, name)
+        monkeypatch.setattr(
+            simulator_module, name,
+            lambda *args, _name=name, _kernel=kernel: calls.append(_name) or _kernel(*args),
+        )
+    simulate(g, np.zeros(g.num_nodes, dtype=np.intp), cm)
+    assert calls == [sweep]
 
 
 def test_zero_transfer_latency_is_placement_free_on_identical_devices():

@@ -87,8 +87,8 @@ def test_trainer_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Trainer(g, single)
     narrow = CostModel(compute=np.ones((2, 2)), transfer=np.zeros((2, 2)))
-    with pytest.raises(MissingCost):
-        Trainer(g, narrow)  # graph uses op type 2
+    with pytest.raises(MissingCost, match=r"^cost model covers 2 op types, graph uses type 2$"):
+        Trainer(g, narrow)
 
 
 def test_step_records_and_best_tracking():
