@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Wall time and traced peak memory of one `brute_force_optimal` call.
+
+For each graph (the benchmark's search-18 graph at seeds 0 and 1,
+chain_graph(22), inception_like(20) and random_dag(20), the last three
+with graph seed 0 and a 2-device `random_cost_model` of seed 0), each of
+PROCESSES fresh processes builds the graph and its cost model, times one
+search, then runs a second one under tracemalloc for its peak traced bytes
+(numpy's arrays included). Each reported figure is the median of the
+process figures. Whole processes on one shared machine can run half again
+as slow as others for minutes at a time, so the processes run in rounds
+over all graphs rather than one graph after another. BLAS is pinned to one
+thread.
+
+Each graph's record also gives its node count, the number of placements
+searched, the optimum's latency and placement, and placements/s (the
+placement count over the median time). The search imports `dagplace` from
+the Python path, so with PYTHONPATH pointing at another checkout's src/ it
+times that library. Writes one JSON record.
+
+Usage:
+    python3 scripts/search_rates.py [--toy] [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+# name -> (generator, nodes, seed); "search" is bench/workloads.search_graph
+GRAPHS = {
+    "search-18-seed0": ("search", 0, 0),
+    "search-18-seed1": ("search", 0, 1),
+    "chain_graph-22": ("chain_graph", 22, 0),
+    "inception_like-20": ("inception_like", 20, 0),
+    "random_dag-20": ("random_dag", 20, 0),
+}
+TOY_GRAPHS = {  # under 2**12 placements each
+    "search-10-seed0": ("search", 0, 0),
+    "chain_graph-10": ("chain_graph", 10, 0),
+    "inception_like-8": ("inception_like", 8, 0),
+    "random_dag-10": ("random_dag", 10, 0),
+}
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PROCESSES = 5
+
+
+def build(kind: str, nodes: int, seed: int, toy: bool):
+    """The graph and cost model of one record."""
+    from dagplace import fixtures
+
+    if kind == "search":  # the search-18 workload's input (10 nodes at toy size)
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+        from workloads import search_graph
+
+        return search_graph(seed, toy)
+    g = getattr(fixtures, kind)(nodes, seed=seed)
+    return g, fixtures.random_cost_model(g.num_op_types, 2, seed)
+
+
+def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
+    """One timed and one traced search on one graph, in this process."""
+    from dagplace.simulator import brute_force_optimal
+
+    g, cm = build(kind, nodes, seed, toy)
+    g.plan  # built by validation; kept out of the timed call in any case
+    t0 = time.perf_counter()
+    placement, latency = brute_force_optimal(g, cm)
+    seconds = time.perf_counter() - t0
+    tracemalloc.start()
+    brute_force_optimal(g, cm)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "nodes": g.num_nodes,
+        "placements": cm.num_devices**g.num_nodes,
+        "latency": latency,
+        "placement": placement.tolist(),
+        "seconds": seconds,
+        "peak_bytes": peak,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--toy", action="store_true", help="small searches, for a smoke test")
+    p.add_argument("--out", default="BENCH_search.json")
+    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "SEED"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.graph:  # the child process: print one graph's record
+        kind, nodes, seed = args.graph
+        print(json.dumps(measure_one(kind, int(nodes), int(seed), args.toy)))
+        return 0
+
+    env = dict(os.environ, **{k: "1" for k in THREADS})
+    specs = TOY_GRAPHS if args.toy else GRAPHS
+    runs: dict[str, list[dict]] = defaultdict(list)
+    for _ in range(PROCESSES):  # rounds over all graphs
+        for name, (kind, nodes, seed) in specs.items():
+            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), str(seed)]
+            cmd += ["--toy"] if args.toy else []
+            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
+            runs[name].append(json.loads(out.stdout))
+    graphs = {}
+    for name, records in runs.items():
+        seconds = [r["seconds"] for r in records]
+        peaks = [r["peak_bytes"] for r in records]
+        r = records[0]
+        if any((s["latency"], s["placement"]) != (r["latency"], r["placement"]) for s in records):
+            raise SystemExit(f"{name}: processes found different optima")
+        median = statistics.median(seconds)
+        graphs[name] = {
+            "nodes": r["nodes"], "placements": r["placements"],
+            "latency": r["latency"], "placement": r["placement"],
+            "seconds": median,
+            "placements_per_s": r["placements"] / median,
+            "peak_bytes": statistics.median(peaks),
+            "process_seconds": seconds,
+        }
+        print(f"{name}: {r['nodes']} nodes, {r['placements']} placements: "
+              f"{median * 1e3:.1f} ms ({r['placements'] / median:.3g}/s), "
+              f"peak {statistics.median(peaks) / 2**20:.2f} MiB, latency {r['latency']}")
+    record = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "blas_threads": 1,
+        "processes": PROCESSES,
+        "toy": args.toy,
+        "graphs": graphs,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

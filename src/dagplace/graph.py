@@ -127,11 +127,25 @@ class CompGraph:
         )
 
     @cached_property
+    def depths(self) -> np.ndarray:
+        """Each node's level: the longest path to it from a source, in edges.
+        Built on the first `simulate` call, not by `validate`."""
+        preds, depth = self.plan.preds, [0] * self.num_nodes
+        for v in self.plan.topo.order:
+            if preds[v]:
+                depth[v] = 1 + max(map(depth.__getitem__, preds[v]))
+        return np.array(depth, dtype=np.intp)
+
+    @cached_property
+    def level_count(self) -> int:
+        """The number of levels (0 for the empty graph)."""
+        return int(self.depths.max(initial=-1)) + 1
+
+    @cached_property
     def levels(self) -> LevelTable:
-        """The plan grouped by topological level, for the simulator's level
-        sweep. Built on the first `simulate` call, not by `validate`, so
-        loading a graph does not pay for it."""
-        return level_table(self.plan)
+        """The plan grouped by level, for the simulator's level sweep, which
+        alone builds it: a deep graph's `simulate` reads `level_count`."""
+        return level_table(self.plan, self.depths, self.level_count)
 
 
 @dataclass(frozen=True)
@@ -274,24 +288,13 @@ class LevelTable:
     node_bounds: tuple[int, ...]
     edge_bounds: tuple[int, ...]
 
-    @property
-    def count(self) -> int:
-        """The number of levels (0 for the empty graph)."""
-        return len(self.node_bounds) - 1
 
-
-def level_table(plan: SimulationPlan) -> LevelTable:
-    """Depths from one pass of the topological order, then array passes:
-    one stable argsort of the depths and one of the edge destinations."""
-    preds = plan.preds
-    n = len(preds)
-    depth = [0] * n
-    for v in plan.topo.order:
-        if preds[v]:
-            depth[v] = 1 + max(map(depth.__getitem__, preds[v]))
-    depths = np.array(depth, dtype=np.intp)
+def level_table(plan: SimulationPlan, depths: np.ndarray, count: int) -> LevelTable:
+    """Array passes over the depths and level count (`CompGraph.depths`,
+    `CompGraph.level_count`): one stable argsort of the depths and one of
+    the edge destinations."""
+    preds, n = plan.preds, len(depths)
     order = np.argsort(depths, kind="stable")
-    count = int(depths.max(initial=-1)) + 1
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     fan_in = np.fromiter(map(len, preds), dtype=np.intp, count=n)

@@ -31,9 +31,9 @@ class TooLarge(Exception):
 
 
 BRUTE_FORCE_LIMIT = 2**24  # max placements enumerated by brute_force_optimal
-# placements per simulate_many call in brute_force_optimal: its [n, K]
-# working arrays stay within a few MB up to the guard's 24 nodes
-SEARCH_CHUNK = 4096
+# most placements brute_force_optimal enumerates per chunk: its arrays
+# stay near 1 MB whatever the graph, up to the guard's 24 nodes
+SEARCH_CHUNK = 2**15
 # simulate sweeps level by level when (nodes + edges) >= this * levels: a
 # level costs a few numpy calls whatever its width, and on random_dag(100 to
 # 400) the scalar loop and the level sweep break even at 40 to 60. Depth is
@@ -97,12 +97,12 @@ def simulate(graph: CompGraph, placement, cm: CostModel) -> float:
     Two sweeps give the same latency, bit for bit, from the same float64
     multiplies, adds and maxima. A shallow graph, whose levels hold on
     average at least LEVEL_SWEEP_WIDTH nodes plus edges, is swept one level
-    at a time in numpy (`CompGraph.levels`); any other graph node by node
-    in Python lists (`CompGraph.plan`), where one level's numpy calls would
-    cost more than its few nodes' scalar steps. `scripts/simulate_rates.py`
-    times `simulate`: on random_dag(3000), 7 levels, the level sweep is
-    about 7x faster than the scalar one; on inception_like(1000), 712
-    levels, it would be about 10x slower.
+    at a time in numpy (`CompGraph.levels`, built for such graphs only);
+    any other graph node by node in Python lists (`CompGraph.plan`), where
+    a level's numpy calls cost more than its few nodes' scalar steps.
+    `scripts/simulate_rates.py` times `simulate`: on random_dag(3000), 7
+    levels, the level sweep is about 7x faster than the scalar one; on
+    inception_like(1000), 712 levels, it would be about 10x slower.
     """
     placement = np.asarray(placement, dtype=np.intp)
     if placement.shape != (graph.num_nodes,):
@@ -111,9 +111,8 @@ def simulate(graph: CompGraph, placement, cm: CostModel) -> float:
         )
     plan = graph.plan
     _check_costs(plan, placement[None], cm)
-    levels = graph.levels
-    if graph.num_nodes + graph.num_edges >= LEVEL_SWEEP_WIDTH * levels.count:
-        return _level_sweep(levels, placement, cm)
+    if graph.num_nodes + graph.num_edges >= LEVEL_SWEEP_WIDTH * graph.level_count:
+        return _level_sweep(graph.levels, placement, cm)
     return _scalar_sweep(plan, placement, cm)
 
 
@@ -182,17 +181,18 @@ def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
     k, d = placements.shape[0], cm.num_devices
     by_node = np.ascontiguousarray(placements.T)  # row v: each placement's device of v
     pair_base = by_node * d  # row u: offset of u's device row in transfer.ravel()
-    # row u: the cost of sending u's output between each device pair
-    sent = cm.transfer.ravel() * np.array(plan.volumes)[:, None]
     finish = np.zeros((n, k))
-    for v in plan.topo.order:
-        dv = by_node[v]
-        start = np.zeros(k)
-        for u in plan.preds[v]:
-            arrival = sent[u].take(pair_base[u] + dv)
-            arrival += finish[u]
-            np.maximum(start, arrival, out=start)
-        np.add(start, cm.compute[plan.op_types[v]].take(dv), out=finish[v])
+    with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
+        # row u: the cost of sending u's output between each device pair
+        sent = cm.transfer.ravel() * np.array(plan.volumes)[:, None]
+        for v in plan.topo.order:
+            dv = by_node[v]
+            start = np.zeros(k)
+            for u in plan.preds[v]:
+                arrival = sent[u].take(pair_base[u] + dv)
+                arrival += finish[u]
+                np.maximum(start, arrival, out=start)
+            np.add(start, cm.compute[plan.op_types[v]].take(dv), out=finish[v])
     return finish.max(axis=0, initial=0.0)
 
 
@@ -236,10 +236,13 @@ def brute_force_optimal(
 ) -> tuple[np.ndarray, float]:
     """Exhaustively search all placements; lexicographically smallest argmin.
 
-    Placement i is the n-digit base-d expansion of i, first node most
-    significant, so index order is lexicographic order; chunks of
-    SEARCH_CHUNK consecutive indices are scored with `simulate_many`.
-    Guarded to num_devices**|V| <= 2**24 enumerated placements.
+    A prefix tree over the topological order: position k has one finish
+    time per choice of devices for positions 0..k, broadcast from its
+    predecessors' with `simulate_many`'s float64 operations, so latencies
+    (maxima over the sinks) equal `simulate`'s. A chunk fixes the leading
+    positions' devices and spans at most SEARCH_CHUNK placements of the
+    rest, in arrays every chunk reuses; equal minima go to the smallest
+    rank sum(digit_v * d**(n-1-v)). Guarded to num_devices**|V| <= 2**24.
     """
     d = cm.num_devices if num_devices is None else num_devices
     n = graph.num_nodes
@@ -248,16 +251,50 @@ def brute_force_optimal(
         raise TooLarge(f"{d}**{n} placements exceed the enumeration guard")
     if n == 0:
         return np.zeros(0, dtype=np.intp), 0.0  # the empty placement
-    best_placement: np.ndarray | None = None
-    best_latency = np.inf
-    for lo in range(0, total, SEARCH_CHUNK):
-        index = np.arange(lo, min(lo + SEARCH_CHUNK, total))
-        # [n, K] digits, passed as the [K, n] view whose transpose is contiguous
-        chunk = np.array(np.unravel_index(index, (d,) * n), dtype=np.intp).T
-        latencies = simulate_many(graph, chunk, cm)
-        i = int(np.argmin(latencies))  # the first of equal minima
-        if latencies[i] < best_latency:
-            best_latency = latencies[i]
-            best_placement = chunk[i].copy()
-    assert best_placement is not None
-    return best_placement, float(best_latency)
+    plan = graph.plan
+    probe = np.zeros((2, n), dtype=np.intp)  # the first placements with a missing cost
+    probe[1, -1] = min(d - 1, cm.num_devices)
+    _check_costs(plan, probe, cm)
+    order, rank, preds, ops = plan.topo.order, plan.topo.rank, plan.preds, plan.op_types
+    base = n - 1  # positions base.. vary inside a chunk, 0..base-1 are fixed
+    while base and d ** (n - base + 1) <= SEARCH_CHUNK:
+        base -= 1
+    ranks = np.zeros(1, dtype=np.intp)  # node-id rank of each chunk-local placement
+    for k in range(base, n):
+        ranks = (np.arange(d)[:, None] * d ** (n - 1 - order[k]) + ranks).ravel()
+    # finish times at positions k >= base as [own digit, digits base..k-1]
+    finish = {k: np.empty((d, d ** (k - base))) for k in range(base, n)}
+    room, sink = np.empty(ranks.size), [not succ for succ in graph.neighbors.succ]
+    best, best_rank = np.inf, total
+    with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
+        sent = cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]
+        sent_f, comp_f = sent.tolist(), cm.compute[:, :d].tolist()
+        for chunk in range(d**base):
+            digit = [chunk // d**k % d for k in range(base)]
+            fixed, lat = [], 0.0
+            for v, e in zip(order, digit):
+                arrivals = [fixed[rank[u]] + sent_f[u][digit[rank[u]]][e] for u in preds[v]]
+                fixed.append(max([0.0] + arrivals) + comp_f[ops[v]][e])
+                lat = max(lat, fixed[-1]) if sink[v] else lat
+            for k in range(base, n):
+                v, start = order[k], finish[k]
+                start.fill(0.0)
+                for j in map(rank.__getitem__, preds[v]):
+                    u = order[j]
+                    if j < base:
+                        np.maximum(start, (sent[u, digit[j]] + fixed[j])[:, None], out=start)
+                        continue
+                    arrival = room[: d * finish[j].size].reshape(d, d, -1)  # [own, pred, ...]
+                    np.add(sent[u].T[:, :, None], finish[j].reshape(1, d, -1), out=arrival)
+                    block = start.reshape(d, -1, arrival[0].size)
+                    np.maximum(block, arrival.reshape(d, 1, -1), out=block)
+                start += cm.compute[ops[v], :d, None]
+                if sink[v]:
+                    wide = start.reshape(-1, np.size(lat))
+                    lat = np.maximum(wide, lat, out=wide).ravel()
+            low = lat.min()
+            if low <= best:  # the smallest rank among this chunk's minima
+                r = sum(e * d ** (n - 1 - v) for v, e in zip(order, digit))
+                r += int(ranks.min(initial=total, where=lat == low))
+                best, best_rank = min((best, best_rank), (low, r))
+    return np.array(np.unravel_index(best_rank, (d,) * n), dtype=np.intp), float(best)

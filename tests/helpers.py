@@ -92,6 +92,25 @@ def product_optimal(graph: CompGraph, cm, num_devices: int | None = None):
     return best_placement, float(best_latency)
 
 
+def scan_optimal(graph: CompGraph, cm, num_devices: int | None = None, chunk: int = 4096):
+    """Reference exhaustive search that scores every placement in full:
+    `simulate_many` on `chunk` consecutive indices at a time, placement i
+    being the n-digit base-d expansion of i, first strict minimum."""
+    from dagplace.simulator import simulate_many
+
+    d = cm.num_devices if num_devices is None else num_devices
+    n = graph.num_nodes
+    best_placement, best_latency = None, np.inf
+    for lo in range(0, d**n, chunk):
+        index = np.arange(lo, min(lo + chunk, d**n))
+        placements = np.array(np.unravel_index(index, (d,) * n), dtype=np.intp).T
+        latencies = simulate_many(graph, placements, cm)
+        i = int(np.argmin(latencies))
+        if latencies[i] < best_latency:
+            best_latency, best_placement = latencies[i], placements[i].copy()
+    return best_placement, float(best_latency)
+
+
 def ball_sizes_reference(graph: CompGraph, v: int) -> np.ndarray:
     """N(v, r) for r = 1, 2, ..., the eccentricity of v: the number of other
     nodes within r undirected hops, from one level-by-level BFS."""

@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from dagplace.simulator import (
     simulate_many,
     speedup,
 )
-from helpers import longest_path_latency, product_optimal
+from helpers import longest_path_latency, product_optimal, scan_optimal
 
 
 def two_device_cm():
@@ -171,7 +173,7 @@ def test_missing_cost_names_the_first_uncosted_node(kernel):
     wide = make_graph(
         [(0, 4, ())] + [(v, 0, ()) for v in range(1, 129)] + [(129, 3, ())], [(129, 0)], 5
     )
-    assert wide.num_nodes + wide.num_edges >= LEVEL_SWEEP_WIDTH * wide.levels.count
+    assert wide.num_nodes + wide.num_edges >= LEVEL_SWEEP_WIDTH * wide.level_count
     with pytest.raises(MissingCost, match=r"^no cost for op_type 3 on device 0$"):
         run(wide, [0] * 130)
     with pytest.raises(MissingCost, match=r"^no cost for op_type 0 on device 2$"):
@@ -222,7 +224,7 @@ def test_simulate_matches_recursive_oracle():
 def test_simulate_matches_recursive_oracle_on_the_level_path():
     for seed in range(4):
         g = random_dag(300, seed=seed)
-        assert g.num_nodes + g.num_edges >= LEVEL_SWEEP_WIDTH * g.levels.count
+        assert g.num_nodes + g.num_edges >= LEVEL_SWEEP_WIDTH * g.level_count
         cm = random_cost_model(8, num_devices=3, seed=seed)
         for placement in np.random.default_rng(seed).integers(0, 3, size=(5, 300)):
             assert simulate(g, placement, cm) == longest_path_latency(g, placement, cm)
@@ -292,12 +294,18 @@ def test_level_sweep_equals_scalar_sweep(case):
 
 
 def test_level_sweep_overflows_to_inf_without_a_warning():
+    """So do `simulate_many` and the exhaustive search: a transfer that
+    overflows is inf, with no RuntimeWarning (an error under the test
+    configuration)."""
     g = make_graph([(0, 0, (4,)), (1, 0, ())], [(0, 1)], 1)
     huge = np.finfo(np.float64).max
     cm = CostModel([[1.0, 1.0]], [[0.0, huge], [huge, 0.0]])
     p = np.array([0, 1])
     assert simulator_module._level_sweep(g.levels, p, cm) == math.inf
     assert simulator_module._scalar_sweep(g.plan, p, cm) == math.inf
+    assert simulate_many(g, [p], cm).tolist() == [simulate(g, p, cm)] == [math.inf]
+    placement, latency = brute_force_optimal(g, cm)
+    assert placement.tolist() == [0, 0] and latency == 2.0
 
 
 def _search_18_graph() -> CompGraph:
@@ -334,6 +342,9 @@ def test_simulate_dispatches_on_graph_depth(monkeypatch, make, sweep):
         )
     simulate(g, np.zeros(g.num_nodes, dtype=np.intp), cm)
     assert calls == [sweep]
+    # only the level sweep builds the level table; the choice reads the count
+    assert ("levels" in g.__dict__) == (sweep == "_level_sweep")
+    assert g.level_count == g.depths.max() + 1
 
 
 def test_zero_transfer_latency_is_placement_free_on_identical_devices():
@@ -408,24 +419,6 @@ def test_brute_force_dominates_random_placements():
         assert lat >= best - 1e-12
 
 
-def test_brute_force_matches_product_reference():
-    rng = np.random.default_rng(11)
-    for trial in range(12):
-        d = 2 + trial % 2
-        n = int(rng.integers(1, 10 if d == 2 else 7))
-        g = random_dag(n, seed=trial, num_edges=int(rng.integers(0, 2 * n)))
-        cm = random_cost_model(8, num_devices=d, seed=trial)
-        placement, latency = brute_force_optimal(g, cm)
-        ref_placement, ref_latency = product_optimal(g, cm)
-        assert np.array_equal(placement, ref_placement) and latency == ref_latency
-    g = random_dag(6, seed=1)
-    cm3 = random_cost_model(8, num_devices=3, seed=1)
-    placement, latency = brute_force_optimal(g, cm3, num_devices=2)
-    ref_placement, ref_latency = product_optimal(g, cm3, num_devices=2)
-    assert np.array_equal(placement, ref_placement) and latency == ref_latency
-    assert placement.max() <= 1
-
-
 def test_brute_force_empty_graph():
     g = make_graph([], [], num_op_types=1)
     placement, latency = brute_force_optimal(g, two_device_cm())
@@ -434,13 +427,119 @@ def test_brute_force_empty_graph():
 
 
 def test_brute_force_tie_across_chunks_keeps_the_first():
-    """2**13 placements span two SEARCH_CHUNKs and all tie: all zeros wins."""
-    g = chain_graph(13, seed=0)
+    """2**16 placements span two SEARCH_CHUNKs and all tie: all zeros wins."""
+    g = chain_graph(16, seed=0)
     cm = CostModel(np.ones((8, 2)), np.zeros((2, 2)))
-    assert 2**13 > SEARCH_CHUNK
+    assert 2**16 > SEARCH_CHUNK
     placement, latency = brute_force_optimal(g, cm)
-    assert np.array_equal(placement, np.zeros(13, dtype=np.intp))
-    assert latency == 13.0
+    assert np.array_equal(placement, np.zeros(16, dtype=np.intp))
+    assert latency == 16.0
+
+
+def _search_cases(seed: int):
+    """(graph, cost model, num_devices) triples for exhaustive searches:
+    0 and 1 nodes, chains, disconnected graphs (fewer edges than nodes),
+    random_dag's node ids, which are not in topological order, 2 and 3
+    devices and 2 of 3, cost models whose placements all tie, costs with
+    many ties (halves), -0.0 costs and transfers that overflow to inf."""
+    rng = np.random.default_rng(seed)
+    yield make_graph([], [], 8), random_cost_model(8, 2, seed), None
+    yield make_graph([(0, 5, (3,))], [], 8), random_cost_model(8, 3, seed), None
+    # topological order 0, 1, 5, 4, 6, 7, 3, 2: at a few placements per chunk
+    # the earliest of the tied minima lies in a later chunk than others
+    compute = [[1, 2], [2, 1], [2, 2], [2, 1], [2, 2], [2, 1], [2, 1], [2, 1]]
+    yield random_dag(8, seed=66, num_edges=14), CostModel(compute, np.zeros((2, 2))), None
+    for trial in range(24):
+        d = 2 + trial % 2
+        n = int(rng.integers(1, 11 if d == 2 else 7))
+        if trial % 6 == 0:
+            g = chain_graph(n, seed=trial)
+        else:
+            g = random_dag(n, seed=trial, num_edges=int(rng.integers(0, 2 * n)))
+        cm = random_cost_model(8, d, seed=trial)
+        kind = trial // 2 % 4
+        if kind == 1:  # every placement ties
+            cm = CostModel(np.ones((8, d)), np.zeros((d, d)))
+        elif kind == 2:  # many ties; a -0.0 compute cost and -0.0 transfers
+            compute, transfer = np.round(2 * cm.compute) / 2, np.round(2 * cm.transfer) / 2
+            compute[0, 0] = -0.0
+            transfer[transfer == 0.0] = -0.0
+            cm = CostModel(compute, transfer)
+        elif kind == 3:  # a transfer of volume above 1 overflows to inf
+            transfer = cm.transfer.copy()
+            transfer[0, d - 1] = np.finfo(np.float64).max
+            cm = CostModel(cm.compute, transfer)
+        yield g, cm, None
+        if d == 3:
+            yield g, cm, 2
+
+
+def test_brute_force_matches_product_reference(monkeypatch):
+    """Placement and latency bits equal one `simulate` per placement in
+    lexicographic order, also when chunks of a few placements make the
+    earliest minimum lie in a later chunk than other tied ones."""
+    for chunk in (SEARCH_CHUNK, 4, 1):
+        monkeypatch.setattr(simulator_module, "SEARCH_CHUNK", chunk)
+        for g, cm, devices in _search_cases(seed=chunk):
+            placement, latency = brute_force_optimal(g, cm, num_devices=devices)
+            ref_placement, ref_latency = product_optimal(g, cm, num_devices=devices)
+            assert placement.dtype == np.intp and type(latency) is float
+            assert np.array_equal(placement, ref_placement)
+            assert _bits(latency) == _bits(ref_latency)
+            assert placement.max(initial=0) < (devices or cm.num_devices)
+
+
+def test_brute_force_matches_full_scan_over_many_chunks():
+    """Graphs of 2**15 to 2**18 placements, the benchmark's search graph
+    among them, and two devices of a three-device model on one: the same
+    placement and latency as scoring every placement with `simulate_many`."""
+    cases = [
+        (_search_18_graph(), random_cost_model(8, 2, seed=1), None),
+        (random_dag(16, seed=2), random_cost_model(8, 2, seed=2), None),
+        (random_dag(17, seed=3, num_edges=9), random_cost_model(8, 2, seed=3), None),
+        (inception_like(14, seed=4), random_cost_model(8, 2, seed=4), None),
+        (random_dag(15, seed=5), random_cost_model(8, 3, seed=5), 2),
+    ]
+    for g, cm, devices in cases:
+        assert (devices or cm.num_devices) ** g.num_nodes >= SEARCH_CHUNK
+        placement, latency = brute_force_optimal(g, cm, num_devices=devices)
+        ref_placement, ref_latency = scan_optimal(g, cm, num_devices=devices)
+        assert np.array_equal(placement, ref_placement) and latency == ref_latency
+
+
+def test_brute_force_missing_cost_names_the_first_placement_scanned():
+    """The MissingCost of scoring placements in index order: an uncovered
+    op type at device 0, else the last node on the first missing device."""
+    g = random_dag(6, seed=3)
+    assert {node.op_type for node in g.nodes} & {5, 6, 7}
+    cm = random_cost_model(8, num_devices=2, seed=3)
+    narrow = CostModel(cm.compute[:5], cm.transfer)  # no op types 5..7
+    for model, devices in [(cm, 3), (cm, 4), (narrow, 2), (narrow, 3)]:
+        index = np.arange(devices**g.num_nodes)
+        placements = np.array(np.unravel_index(index, (devices,) * g.num_nodes)).T
+        with pytest.raises(MissingCost) as scanned:
+            simulate_many(g, placements, model)
+        with pytest.raises(MissingCost, match=f"^{re.escape(str(scanned.value))}$"):
+            brute_force_optimal(g, model, num_devices=devices)
+    last = g.nodes[-1].op_type
+    with pytest.raises(MissingCost, match=f"^no cost for op_type {last} on device 2$"):
+        brute_force_optimal(g, cm, num_devices=4)
+
+
+def test_brute_force_memory_is_set_by_the_chunk():
+    """2**24 placements of a 24-node chain: the traced peak stays within
+    five arrays of one float64 per chunk placement (the chunk positions'
+    finish times, about two such arrays, the ranks and room for an arrival
+    table), where one latency per placement would take 128 MiB."""
+    g = chain_graph(24, seed=0)
+    cm = random_cost_model(8, num_devices=2, seed=0)
+    tracemalloc.start()
+    try:
+        brute_force_optimal(g, cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * SEARCH_CHUNK
 
 
 def test_brute_force_respects_device_override():
