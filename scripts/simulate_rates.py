@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""Wall time of one `simulate` call on raw and co-located graphs.
+"""Wall time of one `simulate` call and one `simulate_many` batch on raw
+and co-located graphs.
 
 For each graph (inception_like and random_dag at 400, 1000, 3000 and 10000
 nodes, graph and cost seed 0, raw and co-located), each of PROCESSES fresh
 processes builds the graph and a 2-device `random_cost_model`, times the
 first `simulate` call (which also builds what the graph caches for the
 simulator beyond its plan), then scores 8 seeded random placements in
-batches until --seconds is spent. A process's per-call time is its median
-batch time over 8; each reported figure is the median of the process
-figures. Whole processes on one shared machine can run half again as slow
-as others for minutes at a time, so the processes run in rounds over all
-graphs rather than one graph after another. BLAS is pinned to one thread.
+batches until --seconds is spent, then scores one seeded batch of 64
+placements with `simulate_many` until --seconds is spent again. A process's
+per-call time is its median batch time over 8, and its batch time the
+median `simulate_many` call; each reported figure is the median of the
+process figures. Whole processes on one shared machine can run half again
+as slow as others for minutes at a time, so the processes run in rounds
+over all graphs rather than one graph after another. BLAS is pinned to one
+thread.
 
 Each graph's record also gives its node, edge and level counts (a level is
 the longest path from a source, in edges) and the sweep `simulate` took:
 "level" or "scalar" ("scalar" for a library that has only that one).
-Writes one JSON record.
+Writes one JSON record. Every placement either kernel scored is scored by
+the other too; the script exits 1, naming the graphs, if any latency
+differs between them.
 
 Usage:
     python3 scripts/simulate_rates.py [--seconds S] [--toy] [--out PATH]
@@ -40,6 +46,7 @@ FORMS = ("raw", "colocated")
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PROCESSES = 5
 PLACEMENTS = 8
+BATCH = 64
 SWEEPS = {"_level_sweep": "level", "_scalar_sweep": "scalar"}
 
 
@@ -67,8 +74,10 @@ def measure_one(kind: str, nodes: int, form: str, seconds: float) -> dict:
     if form == "colocated":
         g, _ = graph.colocate(g)
     cm = fixtures.random_cost_model(g.num_op_types, 2, 0)
-    placements = list(np.random.default_rng(0).integers(0, 2, size=(PLACEMENTS, g.num_nodes)))
-    simulate = simulator.simulate
+    rng = np.random.default_rng(0)
+    placements = list(rng.integers(0, 2, size=(PLACEMENTS, g.num_nodes)))
+    batch = rng.integers(0, 2, size=(BATCH, g.num_nodes))
+    simulate, simulate_many = simulator.simulate, simulator.simulate_many
     t0 = time.perf_counter()
     simulate(g, placements[0], cm)
     first = time.perf_counter() - t0
@@ -79,6 +88,14 @@ def measure_one(kind: str, nodes: int, form: str, seconds: float) -> dict:
         for p in placements:
             simulate(g, p, cm)
         batches.append(time.perf_counter() - t0)
+    many = []
+    deadline = time.perf_counter() + seconds
+    while not many or time.perf_counter() < deadline:
+        t0 = time.perf_counter()
+        simulate_many(g, batch, cm)
+        many.append(time.perf_counter() - t0)
+    scored = np.concatenate([placements, batch])
+    agree = simulate_many(g, scored, cm).tolist() == [simulate(g, p, cm) for p in scored]
     return {
         "nodes": g.num_nodes,
         "edges": g.num_edges,
@@ -86,6 +103,8 @@ def measure_one(kind: str, nodes: int, form: str, seconds: float) -> dict:
         "sweep": "scalar" if not taken else "+".join(sorted(taken)),
         "first_call_us": first * 1e6,
         "per_call_us": statistics.median(batches) / PLACEMENTS * 1e6,
+        "batch_us": statistics.median(many) * 1e6,
+        "kernels_agree": agree,
     }
 
 
@@ -114,22 +133,28 @@ def main(argv=None) -> int:
                    "--seconds", str(args.seconds)]
             out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
             runs[kind, nodes, form].append(json.loads(out.stdout))
-    graphs = {}
+    graphs, disagree = {}, []
     for (kind, nodes, form), records in runs.items():
+        name = f"{kind}-{nodes}-{form}"
         per_call = [r["per_call_us"] for r in records]
         first = [r["first_call_us"] for r in records]
+        batch = [r["batch_us"] for r in records]
         r = records[0]
-        graphs[f"{kind}-{nodes}-{form}"] = {
+        graphs[name] = {
             "nodes": r["nodes"], "edges": r["edges"], "levels": r["levels"],
             "sweep": r["sweep"],
             "per_call_us": statistics.median(per_call),
             "first_call_us": statistics.median(first),
+            "batch_us": statistics.median(batch),
             "process_per_call_us": per_call,
         }
-        print(f"{kind}-{nodes}-{form}: {r['nodes']} nodes, {r['edges']} edges, "
+        if not all(r["kernels_agree"] for r in records):
+            disagree.append(name)
+        print(f"{name}: {r['nodes']} nodes, {r['edges']} edges, "
               f"{r['levels']} levels, {r['sweep']} sweep: "
               f"{statistics.median(per_call):.0f} us a call, first "
-              f"{statistics.median(first):.0f} us")
+              f"{statistics.median(first):.0f} us, {BATCH} placements "
+              f"{statistics.median(batch):.0f} us")
     record = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -137,6 +162,7 @@ def main(argv=None) -> int:
         "blas_threads": 1,
         "processes": PROCESSES,
         "placements": PLACEMENTS,
+        "batch": BATCH,
         "seconds": args.seconds,
         "toy": args.toy,
         "graphs": graphs,
@@ -144,6 +170,9 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+    if disagree:
+        print(f"simulate and simulate_many differ on {', '.join(disagree)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -28,6 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
+# simulate sweeps level by level when (nodes + edges) >= this * levels: a
+# level costs a few numpy calls whatever its width, and on random_dag(100 to
+# 400) the scalar loop and the level sweep break even at 40 to 60. Depth is
+# a property of the input graph, so this is not a tuning knob.
+LEVEL_SWEEP_WIDTH = 64
+
 
 class GraphError(Exception):
     """Base class for computation-graph validation failures."""
@@ -70,7 +76,12 @@ class CompGraph:
 
     `num_op_types` is the size of the op-type vocabulary shared by the
     graph collection; every node's op_type must be below it. The graph is
-    immutable, so derived structures are computed once and cached.
+    immutable, so derived structures are computed once and cached. The
+    simulator's are built on first use, not by `validate`: `shallow`
+    picks `simulate`'s sweep from a depth pass that a deep graph stops
+    early; a shallow graph then builds `levels`, and a deep one
+    `node_table`, whose row for a node with one predecessor names it, so
+    the node-by-node sweeps take that node's start without a maximum.
     """
 
     nodes: tuple[OpNode, ...]
@@ -129,12 +140,9 @@ class CompGraph:
     @cached_property
     def depths(self) -> np.ndarray:
         """Each node's level: the longest path to it from a source, in edges.
-        Built on the first `simulate` call, not by `validate`."""
-        preds, depth = self.plan.preds, [0] * self.num_nodes
-        for v in self.plan.topo.order:
-            if preds[v]:
-                depth[v] = 1 + max(map(depth.__getitem__, preds[v]))
-        return np.array(depth, dtype=np.intp)
+        Not built by `validate`; a shallow graph's first `simulate` call
+        builds it with `shallow`."""
+        return _depths(self.plan, self.num_nodes)
 
     @cached_property
     def level_count(self) -> int:
@@ -142,10 +150,29 @@ class CompGraph:
         return int(self.depths.max(initial=-1)) + 1
 
     @cached_property
+    def shallow(self) -> bool:
+        """Whether the levels hold on average at least LEVEL_SWEEP_WIDTH
+        nodes plus edges, so `simulate` sweeps level by level. The depth
+        pass stops at the first node too deep for that: a deep graph's first
+        `simulate` call does not finish it, and a shallow graph's keeps it
+        as `depths`."""
+        depths = _depths(self.plan, (self.num_nodes + self.num_edges) // LEVEL_SWEEP_WIDTH)
+        if depths is None:
+            return False
+        vars(self).setdefault("depths", depths)  # what the cached property would build
+        return True
+
+    @cached_property
     def levels(self) -> LevelTable:
         """The plan grouped by level, for the simulator's level sweep, which
-        alone builds it: a deep graph's `simulate` reads `level_count`."""
+        alone builds it."""
         return level_table(self.plan, self.depths, self.level_count)
+
+    @cached_property
+    def node_table(self) -> NodeTable:
+        """The plan as one row per node, for the simulator's node-by-node
+        sweeps, which alone build it."""
+        return node_table(self.plan, self.neighbors.succ)
 
 
 @dataclass(frozen=True)
@@ -247,15 +274,36 @@ class SimulationPlan:
     edge order, each node's output volume (what it sends along every
     out-edge), and each node's op type with the (min, max) of all of them,
     so a cost model's coverage is checked without a pass over the nodes.
-    The scalar sweep of `simulate` and `simulate_many` read it node by
-    node; the level sweep of `simulate` reads it regrouped by level, as
-    the `LevelTable` cached as `CompGraph.levels`."""
+    The node-by-node sweeps of `simulate` and `simulate_many` read it one
+    row per node, with a node's predecessor and its volume in the row when
+    it has exactly one, as the `NodeTable` cached as
+    `CompGraph.node_table`; the level sweep of `simulate` reads it
+    regrouped by level, as the `LevelTable` cached as `CompGraph.levels`."""
 
     topo: TopoOrder
     preds: tuple[tuple[int, ...], ...]
     volumes: tuple[float, ...]
     op_types: tuple[int, ...]
     op_range: tuple[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The simulation plan node by node, built once and cached as
+    `CompGraph.node_table` for the node-by-node sweeps.
+
+    rows: one per node in topological order, (v, op type, pred, volume):
+        for a node with exactly one predecessor, that predecessor's id and
+        output volume; for a source or a node with several, v's
+        predecessor tuple and None
+    volumes: each node's output volume, which those other rows read
+    sinks: the nodes without successors. A finish time is never above its
+        successors', so the latest finish is a sink's.
+    """
+
+    rows: tuple[tuple, ...]
+    volumes: tuple[float, ...]
+    sinks: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,6 +364,35 @@ def level_table(plan: SimulationPlan, depths: np.ndarray, count: int) -> LevelTa
         node_bounds=tuple(nodes.tolist()),
         edge_bounds=tuple(heads[nodes].tolist()),
     )
+
+
+def _depths(plan: SimulationPlan, levels: int) -> np.ndarray | None:
+    """Each node's depth in one pass over the topological order, or None
+    as soon as a depth shows that there are more than `levels` levels."""
+    preds, depth = plan.preds, [0] * len(plan.preds)
+    if depth and levels < 1:
+        return None
+    for v in plan.topo.order:
+        if preds[v]:
+            d = depth[v] = 1 + max(map(depth.__getitem__, preds[v]))
+            if d >= levels:
+                return None
+    return np.array(depth, dtype=np.intp)
+
+
+def node_table(plan: SimulationPlan, succ: tuple[tuple[int, ...], ...]) -> NodeTable:
+    """One pass over the topological order, and one over the successor
+    lists for the sinks."""
+    preds, vol, ops = plan.preds, plan.volumes, plan.op_types
+    rows = []
+    for v in plan.topo.order:
+        if len(preds[v]) == 1:
+            (u,) = preds[v]
+            rows.append((v, ops[v], u, vol[u]))
+        else:
+            rows.append((v, ops[v], preds[v], None))
+    sinks = tuple(v for v, out in enumerate(succ) if not out)
+    return NodeTable(rows=tuple(rows), volumes=vol, sinks=sinks)
 
 
 def topo_sort(graph: CompGraph) -> TopoOrder:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import CompGraph, LevelTable, SimulationPlan
+from .graph import CompGraph, LevelTable, NodeTable, SimulationPlan
 
 
 class MissingCost(Exception):
@@ -34,11 +34,6 @@ BRUTE_FORCE_LIMIT = 2**24  # max placements enumerated by brute_force_optimal
 # most placements brute_force_optimal enumerates per chunk: its arrays
 # stay near 1 MB whatever the graph, up to the guard's 24 nodes
 SEARCH_CHUNK = 2**15
-# simulate sweeps level by level when (nodes + edges) >= this * levels: a
-# level costs a few numpy calls whatever its width, and on random_dag(100 to
-# 400) the scalar loop and the level sweep break even at 40 to 60. Depth is
-# a property of the input graph, so this is not a tuning knob.
-LEVEL_SWEEP_WIDTH = 64
 
 
 @dataclass
@@ -95,46 +90,52 @@ def simulate(graph: CompGraph, placement, cm: CostModel) -> float:
     """Critical-path latency of the placed graph, in seconds.
 
     Two sweeps give the same latency, bit for bit, from the same float64
-    multiplies, adds and maxima. A shallow graph, whose levels hold on
-    average at least LEVEL_SWEEP_WIDTH nodes plus edges, is swept one level
-    at a time in numpy (`CompGraph.levels`, built for such graphs only);
-    any other graph node by node in Python lists (`CompGraph.plan`), where
-    a level's numpy calls cost more than its few nodes' scalar steps.
+    multiplies, adds and maxima. A shallow graph (`CompGraph.shallow`: its
+    levels hold on average at least LEVEL_SWEEP_WIDTH nodes plus edges) is
+    swept one level at a time in numpy (`CompGraph.levels`); any other
+    graph node by node in Python lists (`CompGraph.node_table`), where a
+    level's numpy calls cost more than its few nodes' scalar steps, and
+    where a node with one predecessor, most nodes of a network's graph,
+    takes an add, a multiply and an add with no maximum.
     `scripts/simulate_rates.py` times `simulate`: on random_dag(3000), 7
-    levels, the level sweep is about 7x faster than the scalar one; on
-    inception_like(1000), 712 levels, it would be about 10x slower.
+    levels, the level sweep was about 7x faster than the scalar one; on
+    inception_like(1000), 712 levels, the node-by-node sweep takes about
+    125 us, against 190 us with a maximum at every node.
     """
     placement = np.asarray(placement, dtype=np.intp)
     if placement.shape != (graph.num_nodes,):
         raise ValueError(
             f"placement covers {placement.shape} nodes, graph has {graph.num_nodes}"
         )
-    plan = graph.plan
-    _check_costs(plan, placement[None], cm)
-    if graph.num_nodes + graph.num_edges >= LEVEL_SWEEP_WIDTH * graph.level_count:
+    _check_costs(graph.plan, placement[None], cm)
+    if graph.shallow:
         return _level_sweep(graph.levels, placement, cm)
-    return _scalar_sweep(plan, placement, cm)
+    return _scalar_sweep(graph.node_table, placement, cm)
 
 
-def _scalar_sweep(plan: SimulationPlan, placement: np.ndarray, cm: CostModel) -> float:
-    """`simulate` node by node in topological order, in Python floats."""
+def _scalar_sweep(table: NodeTable, placement: np.ndarray, cm: CostModel) -> float:
+    """`simulate` node by node in topological order, in Python floats.
+    Arrival times sum non-negative terms from +0.0 and volumes are finite,
+    so an arrival is never -0.0 or NaN and max(0.0, arrival) is the arrival
+    itself: a node with one predecessor starts at its arrival. The latency
+    is the largest finish time, a sink's."""
     p = placement.tolist()
     compute = cm.compute.tolist()
     transfer = cm.transfer.tolist()
-    preds, vol, ops = plan.preds, plan.volumes, plan.op_types
-    finish = [0.0] * len(preds)
-    latency = 0.0
-    for v in plan.topo.order:
+    volumes = table.volumes
+    finish = [0.0] * len(p)
+    for v, op, u, w in table.rows:
         d = p[v]
-        start = 0.0
-        for u in preds[v]:
-            arrival = finish[u] + transfer[p[u]][d] * vol[u]
-            if arrival > start:
-                start = arrival
-        f = finish[v] = start + compute[ops[v]][d]
-        if f > latency:
-            latency = f
-    return latency
+        if w is not None:  # u is v's only predecessor, w its volume
+            finish[v] = finish[u] + transfer[p[u]][d] * w + compute[op][d]
+        else:  # u is v's predecessor tuple
+            start = 0.0
+            for x in u:
+                arrival = finish[x] + transfer[p[x]][d] * volumes[x]
+                if arrival > start:
+                    start = arrival
+            finish[v] = start + compute[op][d]
+    return max(map(finish.__getitem__, table.sinks), default=0.0)
 
 
 def _level_sweep(table: LevelTable, placement: np.ndarray, cm: CostModel) -> float:
@@ -168,9 +169,11 @@ def _level_sweep(table: LevelTable, placement: np.ndarray, cm: CostModel) -> flo
 def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
     """Critical-path latencies of K placements given as a [K, n] array.
 
-    One sweep of the cached topological order, vectorised across the K
+    One sweep of `CompGraph.node_table`, vectorised across the K
     placements, with the same float64 operations in the same order as
-    `simulate`, so each latency equals `simulate`'s exactly.
+    `simulate`, so each latency equals `simulate`'s exactly: a node with one
+    predecessor starts at its arrival, any other at the maximum of 0.0 and
+    its arrivals.
     """
     placements = np.asarray(placements, dtype=np.intp)
     n = graph.num_nodes
@@ -185,14 +188,18 @@ def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
         # row u: the cost of sending u's output between each device pair
         sent = cm.transfer.ravel() * np.array(plan.volumes)[:, None]
-        for v in plan.topo.order:
+        for v, op, u, w in graph.node_table.rows:
             dv = by_node[v]
-            start = np.zeros(k)
-            for u in plan.preds[v]:
-                arrival = sent[u].take(pair_base[u] + dv)
-                arrival += finish[u]
-                np.maximum(start, arrival, out=start)
-            np.add(start, cm.compute[plan.op_types[v]].take(dv), out=finish[v])
+            if w is not None:  # u is v's only predecessor: v starts at its arrival
+                start = sent[u].take(pair_base[u] + dv)
+                start += finish[u]
+            else:  # u is v's predecessor tuple
+                start = np.zeros(k)
+                for x in u:
+                    arrival = sent[x].take(pair_base[x] + dv)
+                    arrival += finish[x]
+                    np.maximum(start, arrival, out=start)
+            np.add(start, cm.compute[op].take(dv), out=finish[v])
     return finish.max(axis=0, initial=0.0)
 
 
@@ -245,6 +252,8 @@ def brute_force_optimal(
     rank sum(digit_v * d**(n-1-v)). Guarded to num_devices**|V| <= 2**24.
     """
     d = cm.num_devices if num_devices is None else num_devices
+    if d < 1:
+        raise ValueError(f"num_devices must be at least 1, got {d}")
     n = graph.num_nodes
     total = d**n
     if total > BRUTE_FORCE_LIMIT:

@@ -19,10 +19,16 @@ from dagplace.fixtures import (
 )
 from dagplace import graph as graph_module
 from dagplace import simulator as simulator_module
-from dagplace.graph import CompGraph, colocate, make_graph, topo_sort, volume
+from dagplace.graph import (
+    LEVEL_SWEEP_WIDTH,
+    CompGraph,
+    colocate,
+    make_graph,
+    topo_sort,
+    volume,
+)
 from dagplace.simulator import (
     BRUTE_FORCE_LIMIT,
-    LEVEL_SWEEP_WIDTH,
     SEARCH_CHUNK,
     CostModel,
     MissingCost,
@@ -230,6 +236,24 @@ def test_simulate_matches_recursive_oracle_on_the_level_path():
             assert simulate(g, placement, cm) == longest_path_latency(g, placement, cm)
 
 
+@pytest.mark.parametrize("form", ["raw", "colocated"])
+def test_simulate_matches_recursive_oracle_on_the_node_path(form):
+    """inception_like graphs are too deep for the level sweep, and most of
+    their nodes have one predecessor."""
+    for seed in range(4):
+        g = inception_like(1000, seed=seed)
+        if form == "colocated":
+            g = colocate(g)[0]
+        assert not g.shallow
+        assert g.num_nodes + g.num_edges < LEVEL_SWEEP_WIDTH * g.level_count
+        sole = sum(w is not None for _, _, _, w in g.node_table.rows)
+        assert sole > g.num_nodes // 2
+        cm = random_cost_model(8, num_devices=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        for placement in rng.integers(0, 3, size=(5, g.num_nodes)):
+            assert simulate(g, placement, cm) == longest_path_latency(g, placement, cm)
+
+
 def _bits(x: float) -> bytes:
     """The float64 bit pattern: tells -0.0 from 0.0."""
     return struct.pack("<d", x)
@@ -281,16 +305,32 @@ def sweep_cases(draw):
 @example(case=_sweep_case(make_graph([(v, v % 8, (v + 1,)) for v in range(9)], [], 8), 4, 2))
 @example(case=_sweep_case(chain_graph(12, seed=3), 2, 3, [(t, 1) for t in range(8)], True))
 @example(case=_sweep_case(colocate(random_dag(200, seed=4))[0], 3, 4, [], True))
+# a fan-out: every successor has node 0 as its only predecessor
+@example(case=_sweep_case(
+    make_graph([(v, v % 8, (v + 2,)) for v in range(7)], [(0, v) for v in range(1, 7)], 8),
+    3, 5, [(1, 2), (4, 0)], True,
+))
+# a chain of sole predecessors: -0.0 transfers and compute, an overflowing rate
+@example(case=_sweep_case(
+    make_graph([(v, v % 2, (3, v + 1)) for v in range(10)], [(v, v + 1) for v in range(9)], 8),
+    2, 7, [(0, 0), (1, 1)], True,  # one finite latency, two inf
+))
 def test_level_sweep_equals_scalar_sweep(case):
-    """Both kernels run on every graph, whatever `simulate` picks, and
-    return the same float64 bits, -0.0 costs and inf latencies included."""
+    """Every kernel runs on every graph, whatever `simulate` picks, and
+    returns the same float64 bits, -0.0 costs and inf latencies included:
+    both sweeps of `simulate`, and `simulate_many` on the whole batch and
+    on one-row batches."""
     g, cm, placements = case
-    for p in placements:
-        scalar = simulator_module._scalar_sweep(g.plan, p, cm)
+    many = simulate_many(g, placements, cm)
+    for p, batched in zip(placements, many.tolist()):
+        scalar = simulator_module._scalar_sweep(g.node_table, p, cm)
         level = simulator_module._level_sweep(g.levels, p, cm)
         assert type(scalar) is float and type(level) is float
         assert _bits(level) == _bits(scalar)
         assert _bits(simulate(g, p, cm)) == _bits(scalar)
+        assert _bits(batched) == _bits(scalar)
+        (single,) = simulate_many(g, p[None], cm).tolist()
+        assert _bits(single) == _bits(scalar)
 
 
 def test_level_sweep_overflows_to_inf_without_a_warning():
@@ -302,7 +342,7 @@ def test_level_sweep_overflows_to_inf_without_a_warning():
     cm = CostModel([[1.0, 1.0]], [[0.0, huge], [huge, 0.0]])
     p = np.array([0, 1])
     assert simulator_module._level_sweep(g.levels, p, cm) == math.inf
-    assert simulator_module._scalar_sweep(g.plan, p, cm) == math.inf
+    assert simulator_module._scalar_sweep(g.node_table, p, cm) == math.inf
     assert simulate_many(g, [p], cm).tolist() == [simulate(g, p, cm)] == [math.inf]
     placement, latency = brute_force_optimal(g, cm)
     assert placement.tolist() == [0, 0] and latency == 2.0
@@ -340,11 +380,43 @@ def test_simulate_dispatches_on_graph_depth(monkeypatch, make, sweep):
             simulator_module, name,
             lambda *args, _name=name, _kernel=kernel: calls.append(_name) or _kernel(*args),
         )
+    # validation builds none of the simulator's tables
+    assert not {"shallow", "depths", "levels", "node_table"} & g.__dict__.keys()
     simulate(g, np.zeros(g.num_nodes, dtype=np.intp), cm)
     assert calls == [sweep]
-    # only the level sweep builds the level table; the choice reads the count
+    # each sweep builds only its own table; a deep graph's depth pass stops
+    # early, so it keeps no depths
     assert ("levels" in g.__dict__) == (sweep == "_level_sweep")
+    assert ("node_table" in g.__dict__) == (sweep == "_scalar_sweep")
+    assert ("depths" in g.__dict__) == (sweep == "_level_sweep")
     assert g.level_count == g.depths.max() + 1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_graph([], [], 1),
+        make_graph([(0, 0, ())], [], 1),
+        make_graph([(v, 0, ()) for v in range(64)], [], 1),  # 64 nodes, 1 level
+        make_graph([(v, 0, ()) for v in range(63)], [], 1),
+        # 127 nodes plus 1 edge in 2 levels: exactly 64 a level
+        make_graph([(v, 0, ()) for v in range(127)], [(0, 1)], 1),
+        make_graph([(v, 0, ()) for v in range(126)], [(0, 1)], 1),
+        make_graph([(v, 0, ()) for v in range(127)], [(0, 1), (1, 2)], 1),
+        chain_graph(5, seed=0),
+        random_dag(300, seed=0),
+        random_dag(300, seed=0, num_edges=900),
+        inception_like(100, seed=0),
+        colocate(random_dag(2000, seed=0))[0],
+    ],
+)
+def test_shallow_is_the_level_width_rule(g):
+    """The depth pass that stops early decides as the whole pass would."""
+    whole = CompGraph(g.nodes, g.edges, g.num_op_types)
+    shallow = g.num_nodes + g.num_edges >= LEVEL_SWEEP_WIDTH * whole.level_count
+    assert g.shallow == shallow
+    if shallow:  # the pass ran to the end and is kept
+        assert np.array_equal(g.__dict__["depths"], whole.depths)
 
 
 def test_zero_transfer_latency_is_placement_free_on_identical_devices():
@@ -400,6 +472,16 @@ def test_brute_force_guard():
     assert 2**25 > BRUTE_FORCE_LIMIT
     with pytest.raises(TooLarge):
         brute_force_optimal(g, cm)
+
+
+@pytest.mark.parametrize("devices", [0, -1])
+def test_brute_force_rejects_fewer_than_one_device(devices):
+    g = chain_graph(3, seed=0)
+    cm = random_cost_model(8, num_devices=2, seed=0)
+    with pytest.raises(ValueError, match=f"^num_devices must be at least 1, got {devices}$"):
+        brute_force_optimal(g, cm, num_devices=devices)
+    with pytest.raises(ValueError, match=f"got {devices}$"):
+        brute_force_optimal(make_graph([], [], 1), cm, num_devices=devices)
 
 
 def test_brute_force_matches_hand_solved_fixture():
