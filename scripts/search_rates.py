@@ -3,23 +3,29 @@
 
 For each graph (the benchmark's search-18 graph at seeds 0 and 1,
 chain_graph(22), inception_like(20) and random_dag(20), the last three
-with graph seed 0 and a 2-device `random_cost_model` of seed 0), each of
-PROCESSES fresh processes builds the graph and its cost model, times one
-search, then runs a second one under tracemalloc for its peak traced bytes
-(numpy's arrays included). Each reported figure is the median of the
-process figures. Whole processes on one shared machine can run half again
-as slow as others for minutes at a time, so the processes run in rounds
-over all graphs rather than one graph after another. BLAS is pinned to one
-thread.
+with graph seed 0 and a 2-device `random_cost_model` of seed 0, and
+random_dag(20) under equal compute costs and free transfers, where every
+placement ties and no bound prunes), each of PROCESSES fresh processes
+builds the graph and its cost model, times one search, then runs a second
+one under tracemalloc for its peak traced bytes (numpy's arrays included).
+Each reported figure is the median of the process figures. Whole
+processes on one shared machine can run half again as slow as others for
+minutes at a time, so the processes run in rounds over all graphs rather
+than one graph after another. BLAS is pinned to one thread.
 
 Each graph's record also gives its node count, the number of placements
-searched, the optimum's latency and placement, and placements/s (the
-placement count over the median time). The search imports `dagplace` from
-the Python path, so with PYTHONPATH pointing at another checkout's src/ it
-times that library. Writes one JSON record.
+the search covers, the optimum's latency and placement, and placements/s
+(the placement count over the median time). The search imports `dagplace`
+from the Python path. With --parent-src, every round also runs each graph
+in a process that imports `dagplace` from that directory instead (another
+checkout's src/), the two libraries' processes alternating which goes
+first, and the parent's record goes to --parent-out; the script exits 1 if
+the two libraries find different optima. Writes one JSON record per
+library.
 
 Usage:
     python3 scripts/search_rates.py [--toy] [--out PATH]
+        [--parent-src DIR] [--parent-out PATH]
 """
 
 from __future__ import annotations
@@ -44,12 +50,14 @@ GRAPHS = {
     "chain_graph-22": ("chain_graph", 22, 0),
     "inception_like-20": ("inception_like", 20, 0),
     "random_dag-20": ("random_dag", 20, 0),
+    "ties-random_dag-20": ("ties", 20, 0),
 }
 TOY_GRAPHS = {  # under 2**12 placements each
     "search-10-seed0": ("search", 0, 0),
     "chain_graph-10": ("chain_graph", 10, 0),
     "inception_like-8": ("inception_like", 8, 0),
     "random_dag-10": ("random_dag", 10, 0),
+    "ties-random_dag-10": ("ties", 10, 0),
 }
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PROCESSES = 5
@@ -58,7 +66,11 @@ PROCESSES = 5
 def build(kind: str, nodes: int, seed: int, toy: bool):
     """The graph and cost model of one record."""
     from dagplace import fixtures
+    from dagplace.simulator import CostModel
 
+    if kind == "ties":  # every placement ties: nothing prunes
+        g = fixtures.random_dag(nodes, seed=seed)
+        return g, CostModel(np.ones((g.num_op_types, 2)), np.zeros((2, 2)))
     if kind == "search":  # the search-18 workload's input (10 nodes at toy size)
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
         from workloads import search_graph
@@ -91,27 +103,8 @@ def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--toy", action="store_true", help="small searches, for a smoke test")
-    p.add_argument("--out", default="BENCH_search.json")
-    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "SEED"),
-                   help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.graph:  # the child process: print one graph's record
-        kind, nodes, seed = args.graph
-        print(json.dumps(measure_one(kind, int(nodes), int(seed), args.toy)))
-        return 0
-
-    env = dict(os.environ, **{k: "1" for k in THREADS})
-    specs = TOY_GRAPHS if args.toy else GRAPHS
-    runs: dict[str, list[dict]] = defaultdict(list)
-    for _ in range(PROCESSES):  # rounds over all graphs
-        for name, (kind, nodes, seed) in specs.items():
-            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), str(seed)]
-            cmd += ["--toy"] if args.toy else []
-            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-            runs[name].append(json.loads(out.stdout))
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """One library's record per graph from its process records."""
     graphs = {}
     for name, records in runs.items():
         seconds = [r["seconds"] for r in records]
@@ -128,21 +121,67 @@ def main(argv=None) -> int:
             "peak_bytes": statistics.median(peaks),
             "process_seconds": seconds,
         }
-        print(f"{name}: {r['nodes']} nodes, {r['placements']} placements: "
-              f"{median * 1e3:.1f} ms ({r['placements'] / median:.3g}/s), "
-              f"peak {statistics.median(peaks) / 2**20:.2f} MiB, latency {r['latency']}")
-    record = {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "blas_threads": 1,
-        "processes": PROCESSES,
-        "toy": args.toy,
-        "graphs": graphs,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    return graphs
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--toy", action="store_true", help="small searches, for a smoke test")
+    p.add_argument("--out", default="BENCH_search.json")
+    p.add_argument("--parent-src", help="also time the dagplace package in this directory")
+    p.add_argument("--parent-out", default="BENCH_search_parent.json")
+    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "SEED"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.graph:  # the child process: print one graph's record
+        kind, nodes, seed = args.graph
+        print(json.dumps(measure_one(kind, int(nodes), int(seed), args.toy)))
+        return 0
+
+    env = dict(os.environ, **{k: "1" for k in THREADS})
+    libraries = {args.out: env}
+    if args.parent_src:
+        libraries[args.parent_out] = dict(env, PYTHONPATH=os.path.abspath(args.parent_src))
+    specs = TOY_GRAPHS if args.toy else GRAPHS
+    runs: dict[str, dict[str, list[dict]]] = {out: defaultdict(list) for out in libraries}
+    for round_ in range(PROCESSES):  # rounds over all graphs
+        for i, (name, (kind, nodes, seed)) in enumerate(specs.items()):
+            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), str(seed)]
+            cmd += ["--toy"] if args.toy else []
+            sides = list(libraries.items())
+            if (round_ + i) % 2:  # alternate which library goes first
+                sides.reverse()
+            for out, side_env in sides:
+                done = subprocess.run(cmd, env=side_env, check=True, capture_output=True,
+                                      text=True)
+                runs[out][name].append(json.loads(done.stdout))
+    records = {out: summarize(by_graph) for out, by_graph in runs.items()}
+    for out, graphs in records.items():
+        print(f"{out}:")
+        for name, g in graphs.items():
+            print(f"  {name}: {g['nodes']} nodes, {g['placements']} placements: "
+                  f"{g['seconds'] * 1e3:.2f} ms ({g['placements_per_s']:.3g}/s), "
+                  f"peak {g['peak_bytes'] / 2**20:.2f} MiB, latency {g['latency']}")
+        record = {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "blas_threads": 1,
+            "processes": PROCESSES,
+            "paired": len(libraries) == 2,
+            "toy": args.toy,
+            "graphs": graphs,
+        }
+        with open(out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+    optima = [{name: (g["latency"], g["placement"]) for name, g in graphs.items()}
+              for graphs in records.values()]
+    if optima[1:] and optima[0] != optima[1]:
+        differ = [name for name in optima[0] if optima[0][name] != optima[1][name]]
+        print(f"the two libraries find different optima on {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

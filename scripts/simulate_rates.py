@@ -19,12 +19,18 @@ thread.
 Each graph's record also gives its node, edge and level counts (a level is
 the longest path from a source, in edges) and the sweep `simulate` took:
 "level" or "scalar" ("scalar" for a library that has only that one).
-Writes one JSON record. Every placement either kernel scored is scored by
-the other too; the script exits 1, naming the graphs, if any latency
-differs between them.
+The timed library is the `dagplace` on the Python path. With --parent-src,
+every round also runs each graph in a process that imports `dagplace` from
+that directory instead (another checkout's src/), the two libraries'
+processes alternating which goes first, so both records come from the same
+stretches of host load; the parent's record goes to --parent-out. Writes
+one JSON record per library. Every placement either kernel scored is
+scored by the other too; the script exits 1, naming the graphs, if any
+latency differs between them.
 
 Usage:
     python3 scripts/simulate_rates.py [--seconds S] [--toy] [--out PATH]
+        [--parent-src DIR] [--parent-out PATH]
 """
 
 from __future__ import annotations
@@ -108,31 +114,9 @@ def measure_one(kind: str, nodes: int, form: str, seconds: float) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seconds", type=float, default=0.5, help="timing per process and graph")
-    p.add_argument("--toy", action="store_true", help="tens of nodes, for a smoke test")
-    p.add_argument("--out", default="BENCH_simulate.json")
-    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "FORM"),
-                   help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.seconds <= 0:
-        p.error("--seconds must be positive")
-    if args.graph:  # the child process: print one graph's record
-        kind, nodes, form = args.graph
-        print(json.dumps(measure_one(kind, int(nodes), form, args.seconds)))
-        return 0
-
-    env = dict(os.environ, **{k: "1" for k in THREADS})
-    specs = [(kind, n, form) for kind in GENERATORS
-             for n in (TOY_SIZES if args.toy else SIZES) for form in FORMS]
-    runs: dict[tuple[str, int, str], list[dict]] = defaultdict(list)
-    for _ in range(PROCESSES):  # rounds over all graphs, so a slow spell hits several
-        for kind, nodes, form in specs:
-            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), form,
-                   "--seconds", str(args.seconds)]
-            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-            runs[kind, nodes, form].append(json.loads(out.stdout))
+def summarize(runs: dict[tuple[str, int, str], list[dict]]) -> tuple[dict, list[str]]:
+    """One library's record per graph from its process records, and the
+    graphs where its two kernels disagreed."""
     graphs, disagree = {}, []
     for (kind, nodes, form), records in runs.items():
         name = f"{kind}-{nodes}-{form}"
@@ -150,30 +134,75 @@ def main(argv=None) -> int:
         }
         if not all(r["kernels_agree"] for r in records):
             disagree.append(name)
-        print(f"{name}: {r['nodes']} nodes, {r['edges']} edges, "
-              f"{r['levels']} levels, {r['sweep']} sweep: "
-              f"{statistics.median(per_call):.0f} us a call, first "
-              f"{statistics.median(first):.0f} us, {BATCH} placements "
-              f"{statistics.median(batch):.0f} us")
-    record = {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "blas_threads": 1,
-        "processes": PROCESSES,
-        "placements": PLACEMENTS,
-        "batch": BATCH,
-        "seconds": args.seconds,
-        "toy": args.toy,
-        "graphs": graphs,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
-    if disagree:
-        print(f"simulate and simulate_many differ on {', '.join(disagree)}", file=sys.stderr)
-        return 1
-    return 0
+    return graphs, disagree
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--seconds", type=float, default=0.5, help="timing per process and graph")
+    p.add_argument("--toy", action="store_true", help="tens of nodes, for a smoke test")
+    p.add_argument("--out", default="BENCH_simulate.json")
+    p.add_argument("--parent-src", help="also time the dagplace package in this directory")
+    p.add_argument("--parent-out", default="BENCH_simulate_parent.json")
+    p.add_argument("--graph", nargs=3, metavar=("KIND", "NODES", "FORM"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.seconds <= 0:
+        p.error("--seconds must be positive")
+    if args.graph:  # the child process: print one graph's record
+        kind, nodes, form = args.graph
+        print(json.dumps(measure_one(kind, int(nodes), form, args.seconds)))
+        return 0
+
+    env = dict(os.environ, **{k: "1" for k in THREADS})
+    libraries = {args.out: env}
+    if args.parent_src:
+        libraries[args.parent_out] = dict(env, PYTHONPATH=os.path.abspath(args.parent_src))
+    specs = [(kind, n, form) for kind in GENERATORS
+             for n in (TOY_SIZES if args.toy else SIZES) for form in FORMS]
+    runs: dict[str, dict] = {out: defaultdict(list) for out in libraries}
+    for round_ in range(PROCESSES):  # rounds over all graphs, so a slow spell hits several
+        for i, (kind, nodes, form) in enumerate(specs):
+            cmd = [sys.executable, __file__, "--graph", kind, str(nodes), form,
+                   "--seconds", str(args.seconds)]
+            sides = list(libraries.items())
+            if (round_ + i) % 2:  # alternate which library goes first
+                sides.reverse()
+            for out, side_env in sides:
+                done = subprocess.run(cmd, env=side_env, check=True, capture_output=True,
+                                      text=True)
+                runs[out][kind, nodes, form].append(json.loads(done.stdout))
+    failed = False
+    for out, by_graph in runs.items():
+        graphs, disagree = summarize(by_graph)
+        print(f"{out}:")
+        for name, g in graphs.items():
+            print(f"  {name}: {g['nodes']} nodes, {g['edges']} edges, "
+                  f"{g['levels']} levels, {g['sweep']} sweep: "
+                  f"{g['per_call_us']:.0f} us a call, first "
+                  f"{g['first_call_us']:.0f} us, {BATCH} placements "
+                  f"{g['batch_us']:.0f} us")
+        record = {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "blas_threads": 1,
+            "processes": PROCESSES,
+            "paired": len(libraries) == 2,
+            "placements": PLACEMENTS,
+            "batch": BATCH,
+            "seconds": args.seconds,
+            "toy": args.toy,
+            "graphs": graphs,
+        }
+        with open(out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+        if disagree:
+            print(f"{out}: simulate and simulate_many differ on {', '.join(disagree)}",
+                  file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

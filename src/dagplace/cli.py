@@ -31,6 +31,7 @@ from .simulator import (
     CostModel,
     MissingCost,
     brute_force_optimal,
+    eft_placement,
     load_cost_model,
     save_cost_model,
     simulate,
@@ -151,10 +152,12 @@ def _evaluate_baselines(
     gpu = np.ones(n, dtype=np.intp)
     rng = np.random.default_rng([seed, 1])
     rand = rng.integers(0, cm.num_devices, size=n).astype(np.intp)
+    eft, eft_latency = eft_placement(graph, cm)
     rows = [
         ("cpu-only", simulate(graph, cpu, cm), cpu),
         ("gpu-only", simulate(graph, gpu, cm), gpu),
         ("random", simulate(graph, rand, cm), rand),
+        ("eft", eft_latency, eft),
     ]
     if not skip_optimal and cm.num_devices**n <= BRUTE_FORCE_LIMIT:
         placement, latency = brute_force_optimal(graph, cm)
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     base_p = sub.add_parser(
-        "baselines", help="evaluate cpu-only, gpu-only, random, and optimal placements"
+        "baselines", help="evaluate cpu-only, gpu-only, random, eft and optimal placements"
     )
     base_p.add_argument("--graph", required=True)
     base_p.add_argument("--cost-model", required=True)

@@ -3,8 +3,9 @@
 Latency is the critical path under unbounded per-device parallelism: a node
 starts once every predecessor has finished and its output has crossed the
 device boundary (transfer cost scales with the producer's output volume),
-and runs for its per-device compute cost. Also provides the exhaustive
-optimal-placement search used as a verification oracle at small sizes.
+and runs for its per-device compute cost. Also provides the
+earliest-finish-time heuristic and the exact optimal-placement search that
+starts from it, the verification oracle at small sizes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class TooLarge(Exception):
     pass
 
 
-BRUTE_FORCE_LIMIT = 2**24  # max placements enumerated by brute_force_optimal
+BRUTE_FORCE_LIMIT = 2**24  # max placements brute_force_optimal searches
 # most placements brute_force_optimal enumerates per chunk: its arrays
 # stay near 1 MB whatever the graph, up to the guard's 24 nodes
 SEARCH_CHUNK = 2**15
@@ -238,18 +239,57 @@ def speedup(base_latency: float, latency: float) -> float:
     return 100.0 * ((base_latency - latency) / base_latency)
 
 
+def eft_placement(
+    graph: CompGraph, cm: CostModel, num_devices: int | None = None
+) -> tuple[np.ndarray, float]:
+    """Earliest-finish-time placement and its latency: one pass in
+    topological order, each node on the device where it finishes first
+    given its predecessors' devices, the lowest device id on ties. Finish
+    times take `simulate`'s float64 operations, and no finish time is above
+    its successors', so the latency, the largest, is `simulate`'s. A
+    missing cost raises the MissingCost of `brute_force_optimal`'s first
+    placements scanned."""
+    d = cm.num_devices if num_devices is None else num_devices
+    if d < 1:
+        raise ValueError(f"num_devices must be at least 1, got {d}")
+    plan, n = graph.plan, graph.num_nodes
+    probe = np.zeros((2, n), dtype=np.intp)  # the first placements with a missing cost
+    probe[1, -1:] = min(d - 1, cm.num_devices)
+    _check_costs(plan, probe, cm)
+    with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
+        sent = (cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]).tolist()
+    comp = cm.compute[:, :d].tolist()
+    finish, place = [0.0] * n, [0] * n
+    for v in plan.topo.order:
+        ends = [
+            max([0.0] + [finish[u] + sent[u][place[u]][e] for u in plan.preds[v]]) + c
+            for e, c in enumerate(comp[plan.op_types[v]])
+        ]
+        finish[v] = min(ends)
+        place[v] = ends.index(finish[v])
+    return np.array(place, dtype=np.intp), max(finish, default=0.0)
+
+
 def brute_force_optimal(
     graph: CompGraph, cm: CostModel, num_devices: int | None = None
 ) -> tuple[np.ndarray, float]:
-    """Exhaustively search all placements; lexicographically smallest argmin.
+    """Exact search with a bound; the lexicographically smallest argmin.
 
-    A prefix tree over the topological order: position k has one finish
-    time per choice of devices for positions 0..k, broadcast from its
-    predecessors' with `simulate_many`'s float64 operations, so latencies
-    (maxima over the sinks) equal `simulate`'s. A chunk fixes the leading
-    positions' devices and spans at most SEARCH_CHUNK placements of the
-    rest, in arrays every chunk reuses; equal minima go to the smallest
-    rank sum(digit_v * d**(n-1-v)). Guarded to num_devices**|V| <= 2**24.
+    Branch and bound over a prefix tree in topological order, from the
+    `eft_placement` incumbent. A prefix's bound is the largest finish time
+    of a placed node plus its tail, the longest path after it with every
+    op on its cheapest device and no transfers; a prefix whose bound
+    exceeds the best latency by more than the rounding of a sum along one
+    path cannot hold a placement that ties it, and is dropped. Below a
+    prefix that fixes the leading positions, a broadcast kernel scores the
+    rest: position k has one finish time per choice of devices for the
+    positions up to k, broadcast from its predecessors' with
+    `simulate_many`'s float64 operations, so latencies (maxima over the
+    sinks) equal `simulate`'s. Such a chunk spans at most SEARCH_CHUNK
+    placements, in arrays every chunk reuses, and is split one position
+    further while the split drops a child; equal minima go to the smallest
+    rank sum(digit_v * d**(n-1-v)). When no bound prunes, every placement
+    is scored; guarded to num_devices**|V| <= 2**24.
     """
     d = cm.num_devices if num_devices is None else num_devices
     if d < 1:
@@ -260,50 +300,70 @@ def brute_force_optimal(
         raise TooLarge(f"{d}**{n} placements exceed the enumeration guard")
     if n == 0:
         return np.zeros(0, dtype=np.intp), 0.0  # the empty placement
-    plan = graph.plan
-    probe = np.zeros((2, n), dtype=np.intp)  # the first placements with a missing cost
-    probe[1, -1] = min(d - 1, cm.num_devices)
-    _check_costs(plan, probe, cm)
+    eft, best = eft_placement(graph, cm, d)  # also the missing-cost probe
+    best_rank = sum(e * d ** (n - 1 - v) for v, e in enumerate(eft.tolist()))
+    plan, succ = graph.plan, graph.neighbors.succ
     order, rank, preds, ops = plan.topo.order, plan.topo.rank, plan.preds, plan.op_types
+    cheap, tail = cm.compute[:, :d].min(axis=1).tolist(), [0.0] * n
+    for v in reversed(order):
+        tail[v] = max([cheap[ops[s]] + tail[s] for s in succ[v]], default=0.0)
+    margin = 1 + n * 2.0**-50  # above the rounding of two sums of n terms
     base = n - 1  # positions base.. vary inside a chunk, 0..base-1 are fixed
     while base and d ** (n - base + 1) <= SEARCH_CHUNK:
         base -= 1
     ranks = np.zeros(1, dtype=np.intp)  # node-id rank of each chunk-local placement
     for k in range(base, n):
         ranks = (np.arange(d)[:, None] * d ** (n - 1 - order[k]) + ranks).ravel()
-    # finish times at positions k >= base as [own digit, digits base..k-1]
-    finish = {k: np.empty((d, d ** (k - base))) for k in range(base, n)}
-    room, sink = np.empty(ranks.size), [not succ for succ in graph.neighbors.succ]
-    best, best_rank = np.inf, total
+    # finish times at positions k >= base; a chunk from position b views them
+    # as [own digit, digits b..k-1], and its ranks as every d**(b-base)-th
+    finish, views = {k: np.empty(d ** (k - base + 1)) for k in range(base, n)}, {}
+    room, sink = np.empty(ranks.size), [not s for s in succ]
+
+    def chunk(b: int, digit: list, fixed: list, lat: float, r: int) -> None:
+        nonlocal best, best_rank
+        if b not in views:
+            views[b] = {k: finish[k][: d ** (k - b + 1)].reshape(d, -1) for k in range(b, n)}
+        at = views[b]
+        for k in range(b, n):
+            v, start = order[k], at[k]
+            start.fill(0.0)
+            for j in map(rank.__getitem__, preds[v]):
+                u = order[j]
+                if j < b:
+                    np.maximum(start, (sent[u, digit[j]] + fixed[j])[:, None], out=start)
+                    continue
+                arrival = room[: d * at[j].size].reshape(d, d, -1)  # [own, pred, ...]
+                np.add(sent[u].T[:, :, None], at[j].reshape(1, d, -1), out=arrival)
+                block = start.reshape(d, -1, arrival[0].size)
+                np.maximum(block, arrival.reshape(d, 1, -1), out=block)
+            start += cm.compute[ops[v], :d, None]
+            if sink[v]:
+                wide = start.reshape(-1, np.size(lat))
+                lat = np.maximum(wide, lat, out=wide).ravel()
+        low = lat.min()
+        if low <= best:  # the smallest rank among this chunk's minima
+            r += int(ranks[:: d ** (b - base)].min(initial=total, where=lat == low))
+            best, best_rank = min((best, best_rank), (low, r))
+
+    def descend(k: int, digit: list, fixed: list, lat: float, bound: float, r: int) -> None:
+        nonlocal best, best_rank
+        if bound > best * margin:
+            return
+        if k == n:  # a whole placement
+            best, best_rank = min((best, best_rank), (lat, r))
+            return
+        v, kids = order[k], []
+        for e, c in enumerate(comp_f[ops[v]]):
+            f = max([0.0] + [fixed[rank[u]] + sent_f[u][digit[rank[u]]][e] for u in preds[v]]) + c
+            kids.append((e, f, max(bound, f + tail[v])))
+        if k >= base and all(b <= best * margin for _, _, b in kids):
+            return chunk(k, digit, fixed, lat, r)
+        for e, f, b in kids:
+            descend(k + 1, digit + [e], fixed + [f], max(lat, f) if sink[v] else lat, b,
+                    r + e * d ** (n - 1 - v))
+
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
         sent = cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]
         sent_f, comp_f = sent.tolist(), cm.compute[:, :d].tolist()
-        for chunk in range(d**base):
-            digit = [chunk // d**k % d for k in range(base)]
-            fixed, lat = [], 0.0
-            for v, e in zip(order, digit):
-                arrivals = [fixed[rank[u]] + sent_f[u][digit[rank[u]]][e] for u in preds[v]]
-                fixed.append(max([0.0] + arrivals) + comp_f[ops[v]][e])
-                lat = max(lat, fixed[-1]) if sink[v] else lat
-            for k in range(base, n):
-                v, start = order[k], finish[k]
-                start.fill(0.0)
-                for j in map(rank.__getitem__, preds[v]):
-                    u = order[j]
-                    if j < base:
-                        np.maximum(start, (sent[u, digit[j]] + fixed[j])[:, None], out=start)
-                        continue
-                    arrival = room[: d * finish[j].size].reshape(d, d, -1)  # [own, pred, ...]
-                    np.add(sent[u].T[:, :, None], finish[j].reshape(1, d, -1), out=arrival)
-                    block = start.reshape(d, -1, arrival[0].size)
-                    np.maximum(block, arrival.reshape(d, 1, -1), out=block)
-                start += cm.compute[ops[v], :d, None]
-                if sink[v]:
-                    wide = start.reshape(-1, np.size(lat))
-                    lat = np.maximum(wide, lat, out=wide).ravel()
-            low = lat.min()
-            if low <= best:  # the smallest rank among this chunk's minima
-                r = sum(e * d ** (n - 1 - v) for v, e in zip(order, digit))
-                r += int(ranks.min(initial=total, where=lat == low))
-                best, best_rank = min((best, best_rank), (low, r))
+        descend(0, [], [], 0.0, 0.0, 0)
     return np.array(np.unravel_index(best_rank, (d,) * n), dtype=np.intp), float(best)

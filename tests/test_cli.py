@@ -116,7 +116,7 @@ def test_baselines_table(tmp_path, capsys, split_files):
     rows = read_csv(out / "baselines.csv")
     assert rows[0] == ["method", "latency", "speedup"]
     methods = [r[0] for r in rows[1:]]
-    assert methods == ["cpu-only", "gpu-only", "random", "optimal"]
+    assert methods == ["cpu-only", "gpu-only", "random", "eft", "optimal"]
     assert float(rows[1][2]) == 0.0  # the baseline of the speedup column
     # every written speedup agrees with a recomputation from the latencies
     base = float(rows[1][1])
@@ -132,7 +132,7 @@ def test_baselines_skip_optimal(tmp_path, split_files):
     main(["baselines", "--graph", graph_path, "--cost-model", cm_path,
           "--out", str(out), "--skip-optimal"])
     methods = [r[0] for r in read_csv(out / "baselines.csv")[1:]]
-    assert methods == ["cpu-only", "gpu-only", "random"]
+    assert methods == ["cpu-only", "gpu-only", "random", "eft"]
 
 
 def test_baselines_random_is_seeded(tmp_path, split_files):
@@ -316,7 +316,7 @@ def test_train_writes_artifacts(tmp_path, capsys, dominant_files):
     results = read_csv(out / "results.csv")
     methods = [r[0] for r in results[1:]]
     assert methods == [
-        "cpu-only", "gpu-only", "random", "optimal", "trained-best", "trained-greedy"
+        "cpu-only", "gpu-only", "random", "eft", "optimal", "trained-best", "trained-greedy"
     ]
     base = float(results[1][1])
     for row in results[1:]:

@@ -35,6 +35,7 @@ from dagplace.simulator import (
     NonPositiveLatency,
     TooLarge,
     brute_force_optimal,
+    eft_placement,
     load_cost_model,
     reward,
     save_cost_model,
@@ -518,15 +519,46 @@ def test_brute_force_tie_across_chunks_keeps_the_first():
     assert latency == 16.0
 
 
+def test_brute_force_bound_keeps_a_tie_it_rounds_above():
+    """Node 1 heads the chain 1 -> 2 -> 3 of latency (0.3 + 0.2) + 0.1 =
+    0.6, while its bound 0.3 + (0.2 + 0.1) rounds to 0.6000000000000001.
+    EFT puts node 0, off the critical path, on its faster device 1; the
+    smallest argmin keeps it on device 0 and is found only because a bound
+    has to exceed the best latency by more than rounding to prune."""
+    g = make_graph([(0, 0, ()), (1, 1, ()), (2, 2, ()), (3, 3, ())], [(1, 0), (1, 2), (2, 3)], 4)
+    cm = CostModel([[0.2, 0.1], [0.3, 0.3], [0.2, 0.2], [0.1, 0.1]], np.zeros((2, 2)))
+    assert eft_placement(g, cm)[0].tolist() == [1, 0, 0, 0]
+    placement, latency = brute_force_optimal(g, cm)
+    assert placement.tolist() == [0, 0, 0, 0] and latency == 0.6
+
+
+def _duplicated_device(cm: CostModel) -> CostModel:
+    """cm with its last device a copy of device 0, in compute and in
+    transfers, so that swapping the two in a placement keeps its latency
+    bit for bit."""
+    swap = [cm.num_devices - 1, *range(1, cm.num_devices - 1), 0]
+    compute = cm.compute.copy()
+    compute[:, -1] = compute[:, 0]
+    return CostModel(compute, np.maximum(cm.transfer, cm.transfer[swap][:, swap]))
+
+
 def _search_cases(seed: int):
     """(graph, cost model, num_devices) triples for exhaustive searches:
     0 and 1 nodes, chains, disconnected graphs (fewer edges than nodes),
     random_dag's node ids, which are not in topological order, 2 and 3
-    devices and 2 of 3, cost models whose placements all tie, costs with
-    many ties (halves), -0.0 costs and transfers that overflow to inf."""
+    devices and 2 of 3, cost models whose placements all tie, duplicated
+    devices, costs with many ties (halves), -0.0 costs and transfers that
+    overflow to inf."""
     rng = np.random.default_rng(seed)
     yield make_graph([], [], 8), random_cost_model(8, 2, seed), None
     yield make_graph([(0, 5, (3,))], [], 8), random_cost_model(8, 3, seed), None
+    # every placement ties: equal compute and zero transfers
+    yield random_dag(7, seed=seed % 7), CostModel(np.ones((8, 3)), np.zeros((3, 3))), None
+    yield chain_graph(9, seed=1), CostModel(np.full((8, 2), 0.1), np.zeros((2, 2))), None
+    # each placement ties the one with the duplicated devices swapped
+    yield random_dag(9, seed=4), _duplicated_device(random_cost_model(8, 2, seed)), None
+    yield random_dag(6, seed=5), _duplicated_device(random_cost_model(8, 3, seed)), None
+    yield inception_like(6, seed=6), _duplicated_device(random_cost_model(8, 3, seed)), 2
     # topological order 0, 1, 5, 4, 6, 7, 3, 2: at a few placements per chunk
     # the earliest of the tied minima lies in a later chunk than others
     compute = [[1, 2], [2, 1], [2, 2], [2, 1], [2, 2], [2, 1], [2, 1], [2, 1]]
@@ -581,6 +613,10 @@ def test_brute_force_matches_full_scan_over_many_chunks():
         (random_dag(17, seed=3, num_edges=9), random_cost_model(8, 2, seed=3), None),
         (inception_like(14, seed=4), random_cost_model(8, 2, seed=4), None),
         (random_dag(15, seed=5), random_cost_model(8, 3, seed=5), 2),
+        # ties: nothing prunes, and pairs of placements with swapped devices
+        (random_dag(16, seed=6), CostModel(np.ones((8, 2)), np.zeros((2, 2))), None),
+        (inception_like(14, seed=7), _duplicated_device(random_cost_model(8, 2, seed=7)), None),
+        (random_dag(10, seed=8), _duplicated_device(random_cost_model(8, 3, seed=8)), None),
     ]
     for g, cm, devices in cases:
         assert (devices or cm.num_devices) ** g.num_nodes >= SEARCH_CHUNK
@@ -632,3 +668,69 @@ def test_brute_force_respects_device_override():
     )
     placement, latency = brute_force_optimal(g, cm, num_devices=2)
     assert np.array_equal(placement, [1]) and latency == 2.0
+
+
+def test_eft_placement_is_one_valid_device_per_node():
+    for seed in range(4):
+        g = random_dag(30, seed=seed)
+        cm = random_cost_model(8, 3, seed=seed)
+        for devices in (None, 2, 1):
+            placement, latency = eft_placement(g, cm, num_devices=devices)
+            assert placement.dtype == np.intp and placement.shape == (g.num_nodes,)
+            assert placement.min() >= 0 and placement.max() < (devices or 3)
+            again, same = eft_placement(g, cm, num_devices=devices)
+            assert np.array_equal(placement, again) and type(latency) is float
+            assert _bits(latency) == _bits(same)
+    empty, latency = eft_placement(make_graph([], [], 1), two_device_cm())
+    assert empty.shape == (0,) and empty.dtype == np.intp and latency == 0.0
+    with pytest.raises(ValueError, match="^num_devices must be at least 1, got 0$"):
+        eft_placement(chain_graph(3, seed=0), two_device_cm(), num_devices=0)
+
+
+def test_eft_latency_is_simulate_s():
+    """The search's incumbent: the latency of the EFT placement, as its
+    pass computes it, equals `simulate`'s bit for bit, also with -0.0
+    costs and transfers that overflow to inf."""
+    for g, cm, devices in _search_cases(seed=3):
+        placement, latency = eft_placement(g, cm, num_devices=devices)
+        assert _bits(latency) == _bits(simulate(g, placement, cm))
+
+
+def test_eft_placement_breaks_ties_toward_the_lowest_device():
+    g = random_dag(12, seed=1)
+    assert not eft_placement(g, CostModel(np.ones((8, 3)), np.zeros((3, 3))))[0].any()
+    # device 0 is slower; devices 1 and 2 tie everywhere
+    cm = CostModel(np.tile([2.0, 1.0, 1.0], (8, 1)), 1.0 - np.eye(3))
+    assert (eft_placement(g, cm)[0] == 1).all()
+    # a copy of device 0 is never taken
+    cm = _duplicated_device(random_cost_model(8, 3, seed=1))
+    assert (eft_placement(g, cm)[0] < 2).all()
+
+
+def test_eft_placement_reaches_known_optima():
+    """5.1 on `_search_18_graph` under split_fixture's costs,
+    3.75 on dominant_device_fixture, and the hand-solved fixture's 2.9,
+    which sums to 2.9000000000000004 in float64: the placements'
+    latencies equal brute_force_optimal's bit for bit."""
+    _, split_cm = split_fixture()
+    hand, hand_cm, _, _ = hand_solved_fixture()
+    cases = [
+        (_search_18_graph(), split_cm, 5.1),
+        (*dominant_device_fixture(), 3.75),
+        (hand, hand_cm, 2.9000000000000004),
+    ]
+    for g, cm, latency in cases:
+        placement, found = eft_placement(g, cm)
+        assert found == simulate(g, placement, cm) == latency
+        assert brute_force_optimal(g, cm)[1] == latency
+
+
+def test_eft_placement_missing_cost_is_brute_force_optimal_s():
+    g = random_dag(6, seed=3)
+    cm = random_cost_model(8, num_devices=2, seed=3)
+    narrow = CostModel(cm.compute[:5], cm.transfer)  # no op types 5..7
+    for model, devices in [(cm, 3), (cm, 4), (narrow, 2), (narrow, 3)]:
+        with pytest.raises(MissingCost) as searched:
+            brute_force_optimal(g, model, num_devices=devices)
+        with pytest.raises(MissingCost, match=f"^{re.escape(str(searched.value))}$"):
+            eft_placement(g, model, num_devices=devices)
