@@ -4,24 +4,27 @@
 For each graph (the benchmark's search-18 graph at seeds 0 and 1,
 chain_graph(22), inception_like(20) and random_dag(20), the last three
 with graph seed 0 and a 2-device `random_cost_model` of seed 0, and
-random_dag(20) under equal compute costs and free transfers, where every
-placement ties and no bound prunes), each of PROCESSES fresh processes
-builds the graph and its cost model, times one search, then runs a second
-one under tracemalloc for its peak traced bytes (numpy's arrays included).
-Each reported figure is the median of the process figures. Whole
-processes on one shared machine can run half again as slow as others for
-minutes at a time, so the processes run in rounds over all graphs rather
-than one graph after another. BLAS is pinned to one thread.
+random_dag(20) and inception_like(20) under equal compute costs and free
+transfers, where every placement ties and no bound prunes: the first has
+five weakly connected components, the second one), each of PROCESSES
+fresh processes builds the graph and its cost model, times one search,
+then runs a second one under tracemalloc for its peak traced bytes
+(numpy's arrays included). Each reported figure is the median of the
+process figures. Whole processes on one shared machine can run half again
+as slow as others for minutes at a time, so the processes run in rounds
+over all graphs rather than one graph after another. BLAS is pinned to
+one thread.
 
-Each graph's record also gives its node count, the number of placements
-the search covers, the optimum's latency and placement, and placements/s
-(the placement count over the median time). The search imports `dagplace`
-from the Python path. With --parent-src, every round also runs each graph
-in a process that imports `dagplace` from that directory instead (another
-checkout's src/), the two libraries' processes alternating which goes
-first, and the parent's record goes to --parent-out; the script exits 1 if
-the two libraries find different optima. Writes one JSON record per
-library.
+Each graph's record also gives its node count, the sizes of its weakly
+connected components, largest first (the search covers the sum of
+2**size over them), the number of placements of the whole graph, the
+optimum's latency and placement, and placements/s (that number over the
+median time). The search imports `dagplace` from the Python path. With
+--parent-src, every round also runs each graph in a process that imports
+`dagplace` from that directory instead (another checkout's src/), the two
+libraries' processes alternating which goes first, and the parent's
+record goes to --parent-out; the script exits 1 if the two libraries find
+different optima. Writes one JSON record per library.
 
 Usage:
     python3 scripts/search_rates.py [--toy] [--out PATH]
@@ -50,14 +53,16 @@ GRAPHS = {
     "chain_graph-22": ("chain_graph", 22, 0),
     "inception_like-20": ("inception_like", 20, 0),
     "random_dag-20": ("random_dag", 20, 0),
-    "ties-random_dag-20": ("ties", 20, 0),
+    "ties-random_dag-20": ("ties-random_dag", 20, 0),
+    "ties-inception_like-20": ("ties-inception_like", 20, 0),
 }
 TOY_GRAPHS = {  # under 2**12 placements each
     "search-10-seed0": ("search", 0, 0),
     "chain_graph-10": ("chain_graph", 10, 0),
     "inception_like-8": ("inception_like", 8, 0),
     "random_dag-10": ("random_dag", 10, 0),
-    "ties-random_dag-10": ("ties", 10, 0),
+    "ties-random_dag-10": ("ties-random_dag", 10, 0),
+    "ties-inception_like-8": ("ties-inception_like", 8, 0),
 }
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PROCESSES = 5
@@ -68,8 +73,8 @@ def build(kind: str, nodes: int, seed: int, toy: bool):
     from dagplace import fixtures
     from dagplace.simulator import CostModel
 
-    if kind == "ties":  # every placement ties: nothing prunes
-        g = fixtures.random_dag(nodes, seed=seed)
+    if kind.startswith("ties-"):  # every placement ties: nothing prunes
+        g = getattr(fixtures, kind.removeprefix("ties-"))(nodes, seed=seed)
         return g, CostModel(np.ones((g.num_op_types, 2)), np.zeros((2, 2)))
     if kind == "search":  # the search-18 workload's input (10 nodes at toy size)
         sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -82,9 +87,12 @@ def build(kind: str, nodes: int, seed: int, toy: bool):
 
 def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
     """One timed and one traced search on one graph, in this process."""
+    from dagplace.graph import components
     from dagplace.simulator import brute_force_optimal
 
     g, cm = build(kind, nodes, seed, toy)
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ids, count = components(g.num_nodes, edges[:, 0], edges[:, 1])
     g.plan  # built by validation; kept out of the timed call in any case
     t0 = time.perf_counter()
     placement, latency = brute_force_optimal(g, cm)
@@ -95,6 +103,7 @@ def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
     tracemalloc.stop()
     return {
         "nodes": g.num_nodes,
+        "components": sorted(np.bincount(ids, minlength=count).tolist(), reverse=True),
         "placements": cm.num_devices**g.num_nodes,
         "latency": latency,
         "placement": placement.tolist(),
@@ -114,7 +123,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
             raise SystemExit(f"{name}: processes found different optima")
         median = statistics.median(seconds)
         graphs[name] = {
-            "nodes": r["nodes"], "placements": r["placements"],
+            "nodes": r["nodes"], "components": r["components"],
+            "placements": r["placements"],
             "latency": r["latency"], "placement": r["placement"],
             "seconds": median,
             "placements_per_s": r["placements"] / median,

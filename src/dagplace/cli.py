@@ -27,9 +27,9 @@ from .fixtures import (
 from .graph import CompGraph, GraphError, colocate, load_graph, save_graph
 from .policy import save_placement
 from .simulator import (
-    BRUTE_FORCE_LIMIT,
     CostModel,
     MissingCost,
+    TooLarge,
     brute_force_optimal,
     eft_placement,
     load_cost_model,
@@ -159,8 +159,11 @@ def _evaluate_baselines(
         ("random", simulate(graph, rand, cm), rand),
         ("eft", eft_latency, eft),
     ]
-    if not skip_optimal and cm.num_devices**n <= BRUTE_FORCE_LIMIT:
-        placement, latency = brute_force_optimal(graph, cm)
+    if not skip_optimal:
+        try:
+            placement, latency = brute_force_optimal(graph, cm)
+        except TooLarge:  # past the search's guard: no optimal row
+            return rows
         rows.append(("optimal", latency, placement))
     return rows
 

@@ -5,7 +5,11 @@ starts once every predecessor has finished and its output has crossed the
 device boundary (transfer cost scales with the producer's output volume),
 and runs for its per-device compute cost. Also provides the
 earliest-finish-time heuristic and the exact optimal-placement search that
-starts from it, the verification oracle at small sizes.
+starts from it, the verification oracle at small sizes. A latency is the
+largest of the graph's weakly connected components' latencies, so the
+search takes one component at a time under a floor, the largest component
+optimum found so far, and covers the sum of d**|V_c| placements over the
+components; its guard still counts all d**|V| placements of the graph.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import CompGraph, LevelTable, NodeTable, SimulationPlan
+from .graph import CompGraph, LevelTable, NodeTable, SimulationPlan, components
 
 
 class MissingCost(Exception):
@@ -252,6 +256,13 @@ def eft_placement(
     d = cm.num_devices if num_devices is None else num_devices
     if d < 1:
         raise ValueError(f"num_devices must be at least 1, got {d}")
+    place, finish = _eft(graph, cm, d)
+    return np.array(place, dtype=np.intp), max(finish, default=0.0)
+
+
+def _eft(graph: CompGraph, cm: CostModel, d: int) -> tuple[list[int], list[float]]:
+    """`eft_placement`'s device and finish time of every node; restricted
+    to a weakly connected component, the pass over that component alone."""
     plan, n = graph.plan, graph.num_nodes
     probe = np.zeros((2, n), dtype=np.intp)  # the first placements with a missing cost
     probe[1, -1:] = min(d - 1, cm.num_devices)
@@ -267,7 +278,7 @@ def eft_placement(
         ]
         finish[v] = min(ends)
         place[v] = ends.index(finish[v])
-    return np.array(place, dtype=np.intp), max(finish, default=0.0)
+    return place, finish
 
 
 def brute_force_optimal(
@@ -275,21 +286,30 @@ def brute_force_optimal(
 ) -> tuple[np.ndarray, float]:
     """Exact search with a bound; the lexicographically smallest argmin.
 
-    Branch and bound over a prefix tree in topological order, from the
-    `eft_placement` incumbent. A prefix's bound is the largest finish time
-    of a placed node plus its tail, the longest path after it with every
-    op on its cheapest device and no transfers; a prefix whose bound
-    exceeds the best latency by more than the rounding of a sum along one
-    path cannot hold a placement that ties it, and is dropped. Below a
-    prefix that fixes the leading positions, a broadcast kernel scores the
-    rest: position k has one finish time per choice of devices for the
-    positions up to k, broadcast from its predecessors' with
-    `simulate_many`'s float64 operations, so latencies (maxima over the
-    sinks) equal `simulate`'s. Such a chunk spans at most SEARCH_CHUNK
+    A latency is the largest of the weakly connected components', so the
+    search covers the sum of d**|V_c| placements, not d**|V|: each
+    component, largest first, gets the smallest argmin of max(latency,
+    floor), the floor being the largest component optimum so far, and is
+    searched again if a later component raises the floor. Each then holds
+    its smallest placement of latency at most the optimum, and together
+    they are the whole graph's smallest argmin. One component: floor 0.0.
+
+    Within a component: branch and bound over a prefix tree in topological
+    order, from the `eft_placement` incumbent restricted to it. A prefix's
+    bound is the largest finish time of a placed node plus its tail, the
+    longest path after it with every op on its cheapest device and no
+    transfers; the running latency and the bound start at the floor. A
+    prefix whose bound exceeds the best latency by more than the rounding
+    of a sum along one path cannot hold a placement that ties it, and is
+    dropped. Below a prefix that fixes the leading positions, a broadcast
+    kernel scores the rest: position k has one finish time per choice of
+    devices for the positions up to k, broadcast from its predecessors'
+    with `simulate_many`'s float64 operations, so latencies (maxima over
+    the sinks) equal `simulate`'s. Such a chunk spans at most SEARCH_CHUNK
     placements, in arrays every chunk reuses, and is split one position
     further while the split drops a child; equal minima go to the smallest
     rank sum(digit_v * d**(n-1-v)). When no bound prunes, every placement
-    is scored; guarded to num_devices**|V| <= 2**24.
+    of every component is scored; guarded to num_devices**|V| <= 2**24.
     """
     d = cm.num_devices if num_devices is None else num_devices
     if d < 1:
@@ -300,70 +320,91 @@ def brute_force_optimal(
         raise TooLarge(f"{d}**{n} placements exceed the enumeration guard")
     if n == 0:
         return np.zeros(0, dtype=np.intp), 0.0  # the empty placement
-    eft, best = eft_placement(graph, cm, d)  # also the missing-cost probe
-    best_rank = sum(e * d ** (n - 1 - v) for v, e in enumerate(eft.tolist()))
+    eft, eft_finish = _eft(graph, cm, d)  # also the missing-cost probe
     plan, succ = graph.plan, graph.neighbors.succ
-    order, rank, preds, ops = plan.topo.order, plan.topo.rank, plan.preds, plan.op_types
+    order, preds, ops = plan.topo.order, plan.preds, plan.op_types
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    ids, count = components(n, edges[:, 0], edges[:, 1])
+    parts: list[list[int]] = [[] for _ in range(count)]  # in topological order
+    for v, c in zip(order, ids.take(order).tolist()):
+        parts[c].append(v)
+    parts.sort(key=len, reverse=True)
+    pos = {v: k for part in parts for k, v in enumerate(part)}  # in its component
+    weight, digits = [d ** (n - 1 - v) for v in range(n)], np.arange(d)[:, None]
     cheap, tail = cm.compute[:, :d].min(axis=1).tolist(), [0.0] * n
     for v in reversed(order):
         tail[v] = max([cheap[ops[s]] + tail[s] for s in succ[v]], default=0.0)
-    margin = 1 + n * 2.0**-50  # above the rounding of two sums of n terms
-    base = n - 1  # positions base.. vary inside a chunk, 0..base-1 are fixed
-    while base and d ** (n - base + 1) <= SEARCH_CHUNK:
-        base -= 1
-    ranks = np.zeros(1, dtype=np.intp)  # node-id rank of each chunk-local placement
-    for k in range(base, n):
-        ranks = (np.arange(d)[:, None] * d ** (n - 1 - order[k]) + ranks).ravel()
-    # finish times at positions k >= base; a chunk from position b views them
-    # as [own digit, digits b..k-1], and its ranks as every d**(b-base)-th
-    finish, views = {k: np.empty(d ** (k - base + 1)) for k in range(base, n)}, {}
-    room, sink = np.empty(ranks.size), [not s for s in succ]
+    span = 1  # positions a chunk varies
+    while span < len(parts[0]) and d ** (span + 1) <= SEARCH_CHUNK:
+        span += 1
+    # finish times of a chunk's i-th position as [own digit, earlier digits]
+    bufs = [np.empty(d ** (i + 1)).reshape(d, -1) for i in range(span)]
+    room, sink = np.empty(d**span), [not s for s in succ]
 
-    def chunk(b: int, digit: list, fixed: list, lat: float, r: int) -> None:
-        nonlocal best, best_rank
-        if b not in views:
-            views[b] = {k: finish[k][: d ** (k - b + 1)].reshape(d, -1) for k in range(b, n)}
-        at = views[b]
-        for k in range(b, n):
-            v, start = order[k], at[k]
-            start.fill(0.0)
-            for j in map(rank.__getitem__, preds[v]):
-                u = order[j]
-                if j < b:
-                    np.maximum(start, (sent[u, digit[j]] + fixed[j])[:, None], out=start)
-                    continue
-                arrival = room[: d * at[j].size].reshape(d, d, -1)  # [own, pred, ...]
-                np.add(sent[u].T[:, :, None], at[j].reshape(1, d, -1), out=arrival)
-                block = start.reshape(d, -1, arrival[0].size)
-                np.maximum(block, arrival.reshape(d, 1, -1), out=block)
-            start += cm.compute[ops[v], :d, None]
-            if sink[v]:
-                wide = start.reshape(-1, np.size(lat))
-                lat = np.maximum(wide, lat, out=wide).ravel()
-        low = lat.min()
-        if low <= best:  # the smallest rank among this chunk's minima
-            r += int(ranks[:: d ** (b - base)].min(initial=total, where=lat == low))
-            best, best_rank = min((best, best_rank), (low, r))
+    def search(part: list, floor: float) -> tuple[float, int]:
+        """The smallest argmin of max(latency, floor) over one component's
+        placements: that maximum and the placement's rank."""
+        m = len(part)
+        best = max(floor, max(map(eft_finish.__getitem__, part)))
+        best_rank = sum(eft[v] * weight[v] for v in part)
+        margin = 1 + m * 2.0**-50  # above the rounding of two sums of m terms
+        base = max(0, m - span)  # positions base.. vary inside a chunk
+        ranks = np.zeros(1, dtype=np.intp)  # node-id rank of each chunk-local placement
+        for v in part[base:]:
+            ranks = (digits * weight[v] + ranks).ravel()
 
-    def descend(k: int, digit: list, fixed: list, lat: float, bound: float, r: int) -> None:
-        nonlocal best, best_rank
-        if bound > best * margin:
-            return
-        if k == n:  # a whole placement
-            best, best_rank = min((best, best_rank), (lat, r))
-            return
-        v, kids = order[k], []
-        for e, c in enumerate(comp_f[ops[v]]):
-            f = max([0.0] + [fixed[rank[u]] + sent_f[u][digit[rank[u]]][e] for u in preds[v]]) + c
-            kids.append((e, f, max(bound, f + tail[v])))
-        if k >= base and all(b <= best * margin for _, _, b in kids):
-            return chunk(k, digit, fixed, lat, r)
-        for e, f, b in kids:
-            descend(k + 1, digit + [e], fixed + [f], max(lat, f) if sink[v] else lat, b,
-                    r + e * d ** (n - 1 - v))
+        def chunk(b: int, digit: list, fixed: list, lat: float, r: int) -> None:
+            nonlocal best, best_rank
+            for k in range(b, m):
+                v, start = part[k], bufs[k - b]
+                start.fill(0.0)
+                for j in map(pos.__getitem__, preds[v]):
+                    u = part[j]
+                    if j < b:
+                        np.maximum(start, (sent[u, digit[j]] + fixed[j])[:, None], out=start)
+                        continue
+                    at = bufs[j - b]
+                    arrival = room[: d * at.size].reshape(d, d, -1)  # [own, pred, ...]
+                    np.add(sent[u].T[:, :, None], at.reshape(1, d, -1), out=arrival)
+                    block = start.reshape(d, -1, arrival[0].size)
+                    np.maximum(block, arrival.reshape(d, 1, -1), out=block)
+                start += cm.compute[ops[v], :d, None]
+                if sink[v]:
+                    wide = start.reshape(-1, np.size(lat))
+                    lat = np.maximum(wide, lat, out=wide).ravel()
+            low = lat.min()
+            if low <= best:  # the smallest rank among this chunk's minima
+                r += int(ranks[:: d ** (b - base)].min(initial=total, where=lat == low))
+                best, best_rank = min((best, best_rank), (low, r))
+
+        def descend(k: int, digit: list, fixed: list, lat: float, bound: float, r: int) -> None:
+            nonlocal best, best_rank
+            if bound > best * margin:
+                return
+            if k == m:  # a whole placement
+                best, best_rank = min((best, best_rank), (lat, r))
+                return
+            v, kids = part[k], []
+            for e, c in enumerate(comp_f[ops[v]]):
+                f = max([0.0] + [fixed[pos[u]] + sent_f[u][digit[pos[u]]][e]
+                                 for u in preds[v]]) + c
+                kids.append((e, f, max(bound, f + tail[v])))
+            if k >= base and all(b <= best * margin for _, _, b in kids):
+                return chunk(k, digit, fixed, lat, r)
+            for e, f, b in kids:
+                descend(k + 1, digit + [e], fixed + [f], max(lat, f) if sink[v] else lat, b,
+                        r + e * weight[v])
+
+        descend(0, [], [], floor, floor, 0)
+        return best, best_rank
 
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
         sent = cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]
         sent_f, comp_f = sent.tolist(), cm.compute[:, :d].tolist()
-        descend(0, [], [], 0.0, 0.0, 0)
-    return np.array(np.unravel_index(best_rank, (d,) * n), dtype=np.intp), float(best)
+        found, floor = [], 0.0
+        for part in parts:
+            found.append(search(part, floor))
+            floor = found[-1][0]
+        rank = sum(r if low == floor else search(part, floor)[1]
+                   for part, (low, r) in zip(parts, found))
+    return np.array(np.unravel_index(rank, (d,) * n), dtype=np.intp), float(floor)

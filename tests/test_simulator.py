@@ -23,6 +23,7 @@ from dagplace.graph import (
     LEVEL_SWEEP_WIDTH,
     CompGraph,
     colocate,
+    components,
     make_graph,
     topo_sort,
     volume,
@@ -617,12 +618,77 @@ def test_brute_force_matches_full_scan_over_many_chunks():
         (random_dag(16, seed=6), CostModel(np.ones((8, 2)), np.zeros((2, 2))), None),
         (inception_like(14, seed=7), _duplicated_device(random_cost_model(8, 2, seed=7)), None),
         (random_dag(10, seed=8), _duplicated_device(random_cost_model(8, 3, seed=8)), None),
+        # five components of 13, 1, 2, 3 and 1 nodes
+        (random_dag(20, seed=0), random_cost_model(8, 2, seed=0), None),
+        (random_dag(20, seed=0), CostModel(np.ones((8, 2)), np.zeros((2, 2))), None),
     ]
     for g, cm, devices in cases:
         assert (devices or cm.num_devices) ** g.num_nodes >= SEARCH_CHUNK
         placement, latency = brute_force_optimal(g, cm, num_devices=devices)
         ref_placement, ref_latency = scan_optimal(g, cm, num_devices=devices)
         assert np.array_equal(placement, ref_placement) and latency == ref_latency
+
+
+def test_brute_force_floor_keeps_a_component_under_the_optimum():
+    """Node 0 alone is fastest on device 1 (0.5), but under the chain
+    1 -> 2's optimum of 4.0 device 0 (1.0) fits too, and the smallest
+    argmin of the whole graph takes it: the chain, the larger component, is
+    searched first and its optimum is the floor of node 0's search."""
+    g = make_graph([(0, 0, ()), (1, 1, ()), (2, 1, ())], [(1, 2)], 2)
+    cm = CostModel([[1.0, 0.5], [2.0, 2.0]], np.zeros((2, 2)))
+    assert eft_placement(g, cm)[0].tolist() == [1, 0, 0]
+    placement, latency = brute_force_optimal(g, cm)
+    assert placement.tolist() == [0, 0, 0] and latency == 4.0
+    assert np.array_equal(placement, product_optimal(g, cm)[0])
+
+
+def test_brute_force_searches_again_under_a_raised_floor():
+    """The chain 0 -> 1 -> 2, searched first, is fastest all on device 1
+    (1.5); node 3, searched after it, raises the floor to 9.0, under which
+    the chain all on device 0 (3.0) fits and is the smaller placement."""
+    g = make_graph([(0, 0, ()), (1, 0, ()), (2, 0, ()), (3, 1, ())], [(0, 1), (1, 2)], 2)
+    cm = CostModel([[1.0, 0.5], [9.0, 9.0]], np.zeros((2, 2)))
+    placement, latency = brute_force_optimal(g, cm)
+    assert placement.tolist() == [0, 0, 0, 0] and latency == 9.0
+    assert np.array_equal(placement, product_optimal(g, cm)[0])
+
+
+def _component_cases():
+    """(graph, cost model, num_devices) triples of several components:
+    isolated nodes between the links of a chain, and random DAGs with
+    fewer edges than nodes, under random, all-tied and half-step costs and
+    a duplicated device, on 2 and 3 devices and 2 of 3."""
+    ops = [3, 0, 5, 1, 7, 2, 4, 6]
+    chain = make_graph([(v, ops[v], (2,)) for v in range(8)], [(1, 3), (3, 4), (4, 6)], 8)
+    for d, devices in [(2, None), (3, None), (3, 2)]:
+        cm = random_cost_model(8, d, seed=d)
+        yield chain, cm, devices
+        yield chain, CostModel(np.ones((8, d)), np.zeros((d, d))), devices
+        heavy = cm.compute.copy()
+        heavy[3] *= 10  # node 0, searched last, raises the floor
+        yield chain, CostModel(heavy, cm.transfer), devices
+    for seed in range(8):
+        d = 2 + seed % 2
+        n = 10 if d == 2 else 7
+        g = random_dag(n, seed=seed, num_edges=n // 2 + seed % 3)
+        cm = random_cost_model(8, d, seed=seed)
+        yield g, cm, None
+        yield g, CostModel(np.ones((8, d)), np.zeros((d, d))), None
+        yield g, CostModel(np.round(2 * cm.compute) / 2, np.round(2 * cm.transfer) / 2), None
+        yield g, _duplicated_device(cm), 2 if d == 3 else None
+
+
+def test_brute_force_per_component_matches_product_reference(monkeypatch):
+    """Placement and latency bits equal one `simulate` per placement of
+    the whole graph, also at chunks of a few placements."""
+    for chunk in (SEARCH_CHUNK, 4, 1):
+        monkeypatch.setattr(simulator_module, "SEARCH_CHUNK", chunk)
+        for g, cm, devices in _component_cases():
+            assert len(list(_components_alone(g))) > 1
+            placement, latency = brute_force_optimal(g, cm, num_devices=devices)
+            ref_placement, ref_latency = product_optimal(g, cm, num_devices=devices)
+            assert np.array_equal(placement, ref_placement)
+            assert _bits(latency) == _bits(ref_latency)
 
 
 def test_brute_force_missing_cost_names_the_first_placement_scanned():
@@ -723,6 +789,38 @@ def test_eft_placement_reaches_known_optima():
         placement, found = eft_placement(g, cm)
         assert found == simulate(g, placement, cm) == latency
         assert brute_force_optimal(g, cm)[1] == latency
+
+
+def _components_alone(g: CompGraph):
+    """Each weakly connected component of g: its node ids, ascending, and
+    the graph of those nodes alone, renumbered from 0 in the same order."""
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    ids, count = components(g.num_nodes, edges[:, 0], edges[:, 1])
+    for c in range(count):
+        members = np.flatnonzero(ids == c).tolist()
+        local = {v: i for i, v in enumerate(members)}
+        nodes = [(local[v], g.nodes[v].op_type, g.nodes[v].output_shape) for v in members]
+        edges_alone = [(local[u], local[v]) for u, v in g.edges if u in local]
+        yield members, make_graph(nodes, edges_alone, g.num_op_types)
+
+
+def test_eft_placement_is_per_component():
+    """The search's incumbent: on a disconnected graph, the EFT placement
+    restricted to a weakly connected component is EFT on that component
+    built alone, and the latency is the largest of theirs."""
+    graphs = [_search_18_graph(), random_dag(20, seed=0)]
+    graphs += [random_dag(30, seed=seed, num_edges=18) for seed in range(4)]
+    for seed, g in enumerate(graphs):
+        cm = random_cost_model(8, 3, seed=seed)
+        for model, devices in [(cm, None), (cm, 2), (_duplicated_device(cm), None),
+                               (CostModel(np.ones((8, 3)), np.zeros((3, 3))), None)]:
+            placement, latency = eft_placement(g, model, num_devices=devices)
+            alone = []
+            for members, part in _components_alone(g):
+                part_placement, part_latency = eft_placement(part, model, num_devices=devices)
+                assert placement[members].tolist() == part_placement.tolist()
+                alone.append(part_latency)
+            assert len(alone) > 1 and _bits(latency) == _bits(max(alone))
 
 
 def test_eft_placement_missing_cost_is_brute_force_optimal_s():
