@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and traced peak memory of one `brute_force_optimal` call.
+"""Wall time and traced peak memory of a `brute_force_optimal` call.
 
 For each graph (the benchmark's search-18 graph at seeds 0 and 1,
 chain_graph(22), inception_like(20) and random_dag(20), the last three
@@ -7,10 +7,12 @@ with graph seed 0 and a 2-device `random_cost_model` of seed 0, and
 random_dag(20) and inception_like(20) under equal compute costs and free
 transfers, where every placement ties and no bound prunes: the first has
 five weakly connected components, the second one), each of PROCESSES
-fresh processes builds the graph and its cost model, times one search,
-then runs a second one under tracemalloc for its peak traced bytes
-(numpy's arrays included). Each reported figure is the median of the
-process figures. Whole processes on one shared machine can run half again
+fresh processes builds the graph and its cost model, runs one warm-up
+search (which also builds what the graph caches for the search), times
+SEARCHES more and keeps their median, then runs one under tracemalloc for
+its peak traced bytes (numpy's arrays included). Each reported figure is
+the median of the process figures, so one slow process moves it less than
+one slow search would. Whole processes on one shared machine can run half again
 as slow as others for minutes at a time, so the processes run in rounds
 over all graphs rather than one graph after another. BLAS is pinned to
 one thread.
@@ -66,6 +68,7 @@ TOY_GRAPHS = {  # under 2**12 placements each
 }
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PROCESSES = 5
+SEARCHES = 5  # timed per process, after one warm-up search
 
 
 def build(kind: str, nodes: int, seed: int, toy: bool):
@@ -86,17 +89,20 @@ def build(kind: str, nodes: int, seed: int, toy: bool):
 
 
 def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
-    """One timed and one traced search on one graph, in this process."""
+    """A warm-up search, SEARCHES timed ones and a traced one on one graph,
+    in this process."""
     from dagplace.graph import components
     from dagplace.simulator import brute_force_optimal
 
     g, cm = build(kind, nodes, seed, toy)
     edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     ids, count = components(g.num_nodes, edges[:, 0], edges[:, 1])
-    g.plan  # built by validation; kept out of the timed call in any case
-    t0 = time.perf_counter()
-    placement, latency = brute_force_optimal(g, cm)
-    seconds = time.perf_counter() - t0
+    brute_force_optimal(g, cm)  # warm-up
+    seconds = []
+    for _ in range(SEARCHES):
+        t0 = time.perf_counter()
+        placement, latency = brute_force_optimal(g, cm)
+        seconds.append(time.perf_counter() - t0)
     tracemalloc.start()
     brute_force_optimal(g, cm)
     peak = tracemalloc.get_traced_memory()[1]
@@ -107,7 +113,7 @@ def measure_one(kind: str, nodes: int, seed: int, toy: bool) -> dict:
         "placements": cm.num_devices**g.num_nodes,
         "latency": latency,
         "placement": placement.tolist(),
-        "seconds": seconds,
+        "seconds": statistics.median(seconds),
         "peak_bytes": peak,
     }
 
@@ -178,6 +184,7 @@ def main(argv=None) -> int:
             "cpus_usable": len(os.sched_getaffinity(0)),
             "blas_threads": 1,
             "processes": PROCESSES,
+            "searches": SEARCHES,
             "paired": len(libraries) == 2,
             "toy": args.toy,
             "graphs": graphs,

@@ -9,9 +9,9 @@ co-located graph. Timers wrapped
 around the stage functions charge each call its time less the time of the
 timed calls inside it, so the stages add up to the set-up:
 
-  load            load_graph less validate: JSON read and node build
+  load            load_graph less validate: JSON read and the graph's arrays
   validate        validate less topo_sort, on the raw and co-located graphs
-  topo_sort       topo_sort, reached through CompGraph.plan
+  topo_sort       topo_sort, reached through validate
   colocate        colocate less its validate and topo_sort
   ball_sizes      features.ball_sizes, the bit-parallel BFS
   fractal_fit     fractal_dimensions less ball_sizes
@@ -26,10 +26,18 @@ as others for minutes at a time, so the processes run in rounds over all
 graphs rather than one graph after another. Where the library encodes one rank per call
 (`positional_encoding`), every call is timed, and the timer's own cost,
 under a microsecond a call, is charged to `positional`. BLAS is pinned to
-one thread. Writes one JSON record.
+one thread.
+
+The timed library is the `dagplace` on the Python path. With --parent-src,
+every round also runs each graph in a process that imports `dagplace`
+from that directory instead (another checkout's src/), the two libraries'
+processes alternating which goes first, so both records come from the
+same stretches of host load; the parent's record goes to --parent-out.
+Writes one JSON record per library.
 
 Usage:
     python3 scripts/setup_stages.py [--repeats N] [--toy] [--out PATH]
+        [--parent-src DIR] [--parent-out PATH]
 """
 
 from __future__ import annotations
@@ -125,6 +133,8 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--toy", action="store_true", help="tens of nodes, for a smoke test")
     p.add_argument("--out", default="BENCH_setup.json")
+    p.add_argument("--parent-src", help="also time the dagplace package in this directory")
+    p.add_argument("--parent-out", default="BENCH_setup_parent.json")
     p.add_argument("--graph", nargs=2, metavar=("KIND", "NODES"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.repeats < 1:
@@ -135,37 +145,48 @@ def main(argv=None) -> int:
         return 0
 
     env = dict(os.environ, **{k: "1" for k in THREADS})
+    libraries = {args.out: env}
+    if args.parent_src:
+        libraries[args.parent_out] = dict(env, PYTHONPATH=os.path.abspath(args.parent_src))
     specs = [(kind, n) for kind in GENERATORS for n in (TOY_SIZES if args.toy else SIZES)]
-    runs: dict[tuple[str, int], list[dict]] = defaultdict(list)
-    for _ in range(PROCESSES):  # rounds over all graphs, so a slow spell hits several
-        for kind, nodes in specs:
+    runs: dict[str, dict] = {out: defaultdict(list) for out in libraries}
+    for round_ in range(PROCESSES):  # rounds over all graphs, so a slow spell hits several
+        for i, (kind, nodes) in enumerate(specs):
             cmd = [sys.executable, __file__, "--graph", kind, str(nodes),
                    "--repeats", str(args.repeats)]
-            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-            runs[kind, nodes].append(json.loads(out.stdout))
-    graphs = {}
-    for (kind, nodes), records in runs.items():
-        per_process = [r.pop("median_s") for r in records]
-        m = {k: statistics.median(p[k] for p in per_process) for k in per_process[0]}
-        graphs[f"{kind}-{nodes}"] = {**records[0], "median_s": m,
-                                     "process_median_s": per_process}
-        print(f"{kind}-{nodes}: {records[0]['nodes']} co-located nodes, set-up "
-              f"{m['total'] * 1e3:.1f} ms: "
-              + ", ".join(f"{s} {m[s] * 1e3:.1f}" for s in STAGES))
-    record = {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "cpus_usable": len(os.sched_getaffinity(0)),
-        "blas_threads": 1,
-        "repeats": args.repeats,
-        "processes": PROCESSES,
-        "toy": args.toy,
-        "stages": STAGES,
-        "graphs": graphs,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+            sides = list(libraries.items())
+            if (round_ + i) % 2:  # alternate which library goes first
+                sides.reverse()
+            for out, side_env in sides:
+                done = subprocess.run(cmd, env=side_env, check=True, capture_output=True,
+                                      text=True)
+                runs[out][kind, nodes].append(json.loads(done.stdout))
+    for out, by_graph in runs.items():
+        print(f"{out}:")
+        graphs = {}
+        for (kind, nodes), records in by_graph.items():
+            per_process = [r.pop("median_s") for r in records]
+            m = {k: statistics.median(p[k] for p in per_process) for k in per_process[0]}
+            graphs[f"{kind}-{nodes}"] = {**records[0], "median_s": m,
+                                         "process_median_s": per_process}
+            print(f"  {kind}-{nodes}: {records[0]['nodes']} co-located nodes, set-up "
+                  f"{m['total'] * 1e3:.1f} ms: "
+                  + ", ".join(f"{s} {m[s] * 1e3:.1f}" for s in STAGES))
+        record = {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "cpus_usable": len(os.sched_getaffinity(0)),
+            "blas_threads": 1,
+            "repeats": args.repeats,
+            "processes": PROCESSES,
+            "paired": len(libraries) == 2,
+            "toy": args.toy,
+            "stages": STAGES,
+            "graphs": graphs,
+        }
+        with open(out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

@@ -6,8 +6,8 @@ For each graph (inception_like and random_dag at 400, 1000, 3000 and 10000
 nodes, graph and cost seed 0, raw and co-located), each of PROCESSES fresh
 processes builds the graph and a 2-device `random_cost_model`, times the
 first `simulate` call (which also builds what the graph caches for the
-simulator beyond its plan), then scores 8 seeded random placements in
-batches until --seconds is spent, then scores one seeded batch of 64
+simulator beyond what validation builds), then scores 8 seeded random
+placements in batches until --seconds is spent, then scores one seeded batch of 64
 placements with `simulate_many` until --seconds is spent again. A process's
 per-call time is its median batch time over 8, and its batch time the
 median `simulate_many` call; each reported figure is the median of the
@@ -57,11 +57,21 @@ SWEEPS = {"_level_sweep": "level", "_scalar_sweep": "scalar"}
 
 
 def level_count(graph) -> int:
-    """Levels of the graph, from its own pass over the topological order."""
-    depth = [0] * graph.num_nodes
-    for v in graph.plan.topo.order:
-        for u in graph.plan.preds[v]:
+    """Levels of the graph, from its own pass over the edge pairs (which
+    every library version has) in a topological order."""
+    n = graph.num_nodes
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg, depth = [0] * n, [0] * n
+    for u, v in graph.edges:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in range(n) if not indeg[v]]
+    for u in ready:  # grows as nodes become ready
+        for v in succ[u]:
             depth[v] = max(depth[v], depth[u] + 1)
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
     return max(depth, default=-1) + 1
 
 
@@ -131,6 +141,7 @@ def summarize(runs: dict[tuple[str, int, str], list[dict]]) -> tuple[dict, list[
             "first_call_us": statistics.median(first),
             "batch_us": statistics.median(batch),
             "process_per_call_us": per_call,
+            "process_first_call_us": first,
         }
         if not all(r["kernels_agree"] for r in records):
             disagree.append(name)

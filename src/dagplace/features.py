@@ -16,7 +16,6 @@ Every column comes from array passes that are bit for bit a per-node loop.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,12 +44,12 @@ class FeatureConfig:
 
 def one_hot_types(graph: CompGraph) -> np.ndarray:
     """|V| x |T| binary matrix; row v has a single 1 at column op_type(v)."""
-    ops = [node.op_type for node in graph.nodes]
-    if ops and not 0 <= min(ops) <= max(ops) < graph.num_op_types:
-        bad = next(t for t in ops if not 0 <= t < graph.num_op_types)
-        raise TypeIndexOutOfRange(f"op_type {bad} outside [0, {graph.num_op_types})")
-    out = np.zeros((graph.num_nodes, graph.num_op_types), dtype=np.float64)
-    out[[node.id for node in graph.nodes], ops] = 1.0
+    ops, t = graph.op_types, graph.num_op_types
+    bad = (ops < 0) | (ops >= t)
+    if bad.any():
+        raise TypeIndexOutOfRange(f"op_type {ops[bad][0]} outside [0, {t})")
+    out = np.zeros((graph.num_nodes, t), dtype=np.float64)
+    out[np.arange(graph.num_nodes), ops] = 1.0
     return out
 
 
@@ -60,12 +59,13 @@ def degree_one_hots(graph: CompGraph) -> tuple[np.ndarray, np.ndarray]:
     Column j of each matrix corresponds to the j-th smallest distinct degree
     value occurring in this graph.
     """
-    return _one_hot_lengths(graph.neighbors.pred), _one_hot_lengths(graph.neighbors.succ)
+    return _one_hot_lengths(graph.pred.counts), _one_hot_lengths(graph.succ.counts)
 
 
-def _one_hot_lengths(lists: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    distinct, col = np.unique(list(map(len, lists)), return_inverse=True)
-    return np.eye(len(distinct))[col]
+def _one_hot_lengths(lengths: np.ndarray) -> np.ndarray:
+    present = np.bincount(lengths) > 0
+    col = present.cumsum() - 1  # a value's rank among the distinct values
+    return np.eye(np.count_nonzero(present))[col[lengths]]
 
 
 def fractal_dimensions(graph: CompGraph) -> np.ndarray:
@@ -109,22 +109,16 @@ def ball_sizes(graph: CompGraph) -> tuple[np.ndarray, np.ndarray]:
     that source's BFS level size.
     """
     n = graph.num_nodes
-    nbrs = graph.undirected_neighbors
-    deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
-    order = np.argsort(-deg, kind="stable")
+    nbrs = graph.undirected
+    deg = nbrs.counts
+    order = (-deg).argsort(kind="stable")
     row_of = np.empty(n, dtype=np.intp)
     row_of[order] = np.arange(n)
-    deg = deg[order]
-    flat = row_of[
-        np.fromiter(
-            (w for u in order for w in nbrs[u]), dtype=np.intp, count=int(deg.sum())
-        )
-    ]
-    row_start = np.cumsum(deg) - deg
+    deg, starts = deg[order], nbrs.offsets[order]
     # slot k: the k-th neighbour of each row with more than k neighbours,
     # which are the first `width` rows
-    widths = np.searchsorted(-deg, -np.arange(deg[0] if n else 0), side="left")
-    slots = [flat[row_start[:w] + k] for k, w in enumerate(widths.tolist())]
+    widths = (-deg).searchsorted(-np.arange(deg[0] if n else 0), side="left")
+    slots = [row_of[nbrs.targets[starts[:w] + k]] for k, w in enumerate(widths.tolist())]
 
     words = -(-n // 64)
     diag = np.zeros((n, words), dtype=np.uint64)
@@ -169,12 +163,12 @@ def positional_encodings(ranks, cfg: FeatureConfig) -> np.ndarray:
 
 def shape_features(graph: CompGraph) -> np.ndarray:
     """Output shapes right-padded with zeros to the longest shape in the graph."""
-    shapes = [node.output_shape for node in graph.nodes]
-    lens = np.array(list(map(len, shapes)), dtype=np.intp)
+    starts = graph.shape_starts
+    lens = starts[1:] - starts[:-1]
     out = np.zeros((graph.num_nodes, lens.max(initial=0)), dtype=np.float64)
-    rows = np.repeat(np.array([node.id for node in graph.nodes], dtype=np.intp), lens)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lens) - lens, lens)
-    out[rows, cols] = np.array(list(itertools.chain(*shapes)), dtype=np.float64)
+    rows = np.arange(graph.num_nodes).repeat(lens)
+    cols = np.arange(len(rows)) - starts[:-1].repeat(lens)
+    out[rows, cols] = graph.shape_dims.astype(np.float64)
     return out
 
 
@@ -184,5 +178,5 @@ def build_features(graph: CompGraph, cfg: FeatureConfig) -> np.ndarray:
     shapes = shape_features(graph)
     in_deg, out_deg = degree_one_hots(graph)
     fractal = fractal_dimensions(graph).reshape(-1, 1)
-    pos = positional_encodings(graph.plan.topo.rank, cfg)
+    pos = positional_encodings(graph.topo.rank, cfg)
     return np.hstack([types, shapes, in_deg, out_deg, fractal, pos])

@@ -84,9 +84,13 @@ class PooledGraph:
 
     @classmethod
     def of(cls, graph) -> "PooledGraph":
-        """The level of any graph with `num_nodes` and `edges`."""
-        pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
-        return cls(graph.num_nodes, pairs[:, 0], pairs[:, 1])
+        """The level of any graph with `num_nodes` and `src`/`dst` arrays
+        of distinct edges."""
+        n = max(graph.num_nodes, 1)
+        keys = graph.src * n + graph.dst
+        keys.sort()
+        src, dst = np.divmod(keys, n)
+        return cls(graph.num_nodes, src, dst)
 
     @property
     def num_edges(self) -> int:

@@ -14,13 +14,14 @@ components; its guard still counts all d**|V| placements of the graph.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import CompGraph, LevelTable, NodeTable, SimulationPlan, components
+from .graph import CompGraph, LevelTable, NodeTable, components
 
 
 class MissingCost(Exception):
@@ -75,12 +76,19 @@ class CostModel:
 
 
 def load_cost_model(path: str | Path) -> CostModel:
-    """Read a cost model JSON file: {"compute": [[...]], "transfer": [[...]]}."""
+    """Read a cost model JSON file: {"compute": [[...]], "transfer": [[...]]}.
+    Every entry must be a JSON number."""
     with open(path) as fh:
         data = json.load(fh)
     try:
-        return CostModel(np.asarray(data["compute"]), np.asarray(data["transfer"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        tables = data["compute"], data["transfer"]
+        for name, table in zip(("compute", "transfer"), tables):
+            entries = list(itertools.chain.from_iterable(table))  # rows of numbers
+            if set(map(type, entries)) - {int, float}:
+                bad = next(x for x in entries if type(x) not in (int, float))
+                raise ValueError(f"{name} entry {bad!r} is not a number")
+        return CostModel(*map(np.asarray, tables))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed cost model file {path}: {exc}") from exc
 
 
@@ -112,7 +120,7 @@ def simulate(graph: CompGraph, placement, cm: CostModel) -> float:
         raise ValueError(
             f"placement covers {placement.shape} nodes, graph has {graph.num_nodes}"
         )
-    _check_costs(graph.plan, placement[None], cm)
+    _check_costs(graph, placement[None], cm)
     if graph.shallow:
         return _level_sweep(graph.levels, placement, cm)
     return _scalar_sweep(graph.node_table, placement, cm)
@@ -184,15 +192,14 @@ def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
     n = graph.num_nodes
     if placements.ndim != 2 or placements.shape[1] != n:
         raise ValueError(f"placements have shape {placements.shape}, expected (K, {n})")
-    plan = graph.plan
-    _check_costs(plan, placements, cm)
+    _check_costs(graph, placements, cm)
     k, d = placements.shape[0], cm.num_devices
     by_node = np.ascontiguousarray(placements.T)  # row v: each placement's device of v
     pair_base = by_node * d  # row u: offset of u's device row in transfer.ravel()
     finish = np.zeros((n, k))
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
         # row u: the cost of sending u's output between each device pair
-        sent = cm.transfer.ravel() * np.array(plan.volumes)[:, None]
+        sent = cm.transfer.ravel() * graph.volumes[:, None]
         for v, op, u, w in graph.node_table.rows:
             dv = by_node[v]
             if w is not None:  # u is v's only predecessor: v starts at its arrival
@@ -208,11 +215,11 @@ def simulate_many(graph: CompGraph, placements, cm: CostModel) -> np.ndarray:
     return finish.max(axis=0, initial=0.0)
 
 
-def _check_costs(plan: SimulationPlan, placements: np.ndarray, cm: CostModel) -> None:
+def _check_costs(graph: CompGraph, placements: np.ndarray, cm: CostModel) -> None:
     """Raise MissingCost where a placement-by-placement sweep would first
     meet a node without a cost: the first placement that has one, at its
     first such node in topological order."""
-    lo, hi = plan.op_range
+    lo, hi = graph.op_range
     if placements.size == 0 or (
         lo >= 0
         and hi < cm.num_op_types
@@ -220,11 +227,11 @@ def _check_costs(plan: SimulationPlan, placements: np.ndarray, cm: CostModel) ->
         and placements.max() < cm.num_devices
     ):
         return
-    ops = np.array(plan.op_types, dtype=np.intp)
+    ops = graph.op_types
     bad = (placements < 0) | (placements >= cm.num_devices)
     bad |= (ops < 0) | (ops >= cm.num_op_types)
     row = int(np.argmax(bad.any(axis=1)))
-    v = next(v for v in plan.topo.order if bad[row, v])
+    v = next(v for v in graph.topo.nodes if bad[row, v])
     raise MissingCost(f"no cost for op_type {ops[v]} on device {placements[row, v]}")
 
 
@@ -263,18 +270,18 @@ def eft_placement(
 def _eft(graph: CompGraph, cm: CostModel, d: int) -> tuple[list[int], list[float]]:
     """`eft_placement`'s device and finish time of every node; restricted
     to a weakly connected component, the pass over that component alone."""
-    plan, n = graph.plan, graph.num_nodes
+    n, (preds, _, ops) = graph.num_nodes, graph.plan
     probe = np.zeros((2, n), dtype=np.intp)  # the first placements with a missing cost
     probe[1, -1:] = min(d - 1, cm.num_devices)
-    _check_costs(plan, probe, cm)
+    _check_costs(graph, probe, cm)
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
-        sent = (cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]).tolist()
+        sent = (cm.transfer[:d, :d] * graph.volumes[:, None, None]).tolist()
     comp = cm.compute[:, :d].tolist()
     finish, place = [0.0] * n, [0] * n
-    for v in plan.topo.order:
+    for v in graph.topo.nodes:
         ends = [
-            max([0.0] + [finish[u] + sent[u][place[u]][e] for u in plan.preds[v]]) + c
-            for e, c in enumerate(comp[plan.op_types[v]])
+            max([0.0] + [finish[u] + sent[u][place[u]][e] for u in preds[v]]) + c
+            for e, c in enumerate(comp[ops[v]])
         ]
         finish[v] = min(ends)
         place[v] = ends.index(finish[v])
@@ -321,10 +328,8 @@ def brute_force_optimal(
     if n == 0:
         return np.zeros(0, dtype=np.intp), 0.0  # the empty placement
     eft, eft_finish = _eft(graph, cm, d)  # also the missing-cost probe
-    plan, succ = graph.plan, graph.neighbors.succ
-    order, preds, ops = plan.topo.order, plan.preds, plan.op_types
-    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
-    ids, count = components(n, edges[:, 0], edges[:, 1])
+    order, (preds, succ, ops) = graph.topo.nodes, graph.plan
+    ids, count = components(n, graph.src, graph.dst)
     parts: list[list[int]] = [[] for _ in range(count)]  # in topological order
     for v, c in zip(order, ids.take(order).tolist()):
         parts[c].append(v)
@@ -399,7 +404,7 @@ def brute_force_optimal(
         return best, best_rank
 
     with np.errstate(over="ignore"):  # an overflow is inf, as in Python floats
-        sent = cm.transfer[:d, :d] * np.array(plan.volumes)[:, None, None]
+        sent = cm.transfer[:d, :d] * graph.volumes[:, None, None]
         sent_f, comp_f = sent.tolist(), cm.compute[:, :d].tolist()
         found, floor = [], 0.0
         for part in parts:

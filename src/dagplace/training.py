@@ -198,7 +198,7 @@ class Trainer:
             raise ValueError("cannot train on an empty graph")
         if cm.num_devices < 2:
             raise ValueError("training needs at least 2 devices")
-        worst_type = graph.plan.op_range[1]
+        worst_type = graph.op_range[1]
         if worst_type >= cm.num_op_types:
             raise MissingCost(
                 f"cost model covers {cm.num_op_types} op types, "

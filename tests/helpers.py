@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
 
 import numpy as np
 
 from dagplace.autograd import Tensor, Workspace
 from dagplace.graph import (
     CompGraph,
+    CycleDetected,
     DanglingEdge,
     DuplicateEdge,
     InvalidNode,
     OpNode,
     SelfLoop,
+    validate,
     volume,
 )
 from dagplace.partition import PooledGraph
@@ -114,7 +118,7 @@ def scan_optimal(graph: CompGraph, cm, num_devices: int | None = None, chunk: in
 def ball_sizes_reference(graph: CompGraph, v: int) -> np.ndarray:
     """N(v, r) for r = 1, 2, ..., the eccentricity of v: the number of other
     nodes within r undirected hops, from one level-by-level BFS."""
-    nbrs = graph.undirected_neighbors
+    nbrs = undirected_neighbors_reference(graph)
     seen = bytearray(graph.num_nodes)
     seen[v] = 1
     frontier = [v]
@@ -180,7 +184,8 @@ def build_features_reference(graph: CompGraph, cfg) -> np.ndarray:
         for j, s in enumerate(node.output_shape):
             shapes[node.id, j] = float(s)
     degrees = []
-    for lists in (graph.neighbors.pred, graph.neighbors.succ):
+    succ, pred = neighbors_reference(graph)
+    for lists in (pred, succ):
         values = [len(x) for x in lists]
         col = {d: j for j, d in enumerate(sorted(set(values)))}
         out = np.zeros((n, len(col)))
@@ -191,7 +196,7 @@ def build_features_reference(graph: CompGraph, cfg) -> np.ndarray:
     fractal = np.array(
         [fit_slope_reference(balls[1 : e + 1, v]) for v, e in enumerate(ecc.tolist())]
     ).reshape(-1, 1)
-    rank = graph.plan.topo.rank
+    rank = topo_sort_reference(graph)[1]
     pos = np.array(
         [positional_encoding_reference(rank[v], cfg) for v in range(n)]
     ).reshape(n, cfg.d_pos)
@@ -337,10 +342,10 @@ def colocate_membership_reference(graph: CompGraph) -> list[int]:
     """Co-location membership from a scan in topological order: v and its
     only successor w pair up when v is w's only predecessor, and the pairs'
     components, numbered by minimum member, are the co-location sets."""
-    succ, pred = graph.neighbors.succ, graph.neighbors.pred
+    succ, pred = neighbors_reference(graph)
     pairs = (
         (v, succ[v][0])
-        for v in graph.plan.topo.order
+        for v in topo_sort_reference(graph)[0]
         if len(succ[v]) == 1 and len(pred[succ[v][0]]) == 1
     )
     return components_reference(graph.num_nodes, pairs)[0].tolist()
@@ -355,7 +360,7 @@ def colocate_reference(graph: CompGraph) -> tuple[CompGraph, list[int]]:
     groups: list[list[int]] = [[] for _ in range(max(membership, default=-1) + 1)]
     for v, c in enumerate(membership):
         groups[c].append(v)
-    rank = graph.plan.topo.rank
+    rank = topo_sort_reference(graph)[1]
     nodes = []
     for i, group in enumerate(groups):
         base, rem = divmod(sum(graph.nodes[v].op_type for v in group), len(group))
@@ -367,6 +372,138 @@ def colocate_reference(graph: CompGraph) -> tuple[CompGraph, list[int]]:
         - {(c, c) for c in range(len(groups))}
     )
     return CompGraph(tuple(nodes), tuple(edges), graph.num_op_types), membership
+
+
+def neighbors_reference(graph: CompGraph):
+    """Successors and predecessors of every node as tuples, in edge order,
+    from one pass over the edge pairs."""
+    succ: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    pred: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for u, v in graph.edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    return tuple(map(tuple, succ)), tuple(map(tuple, pred))
+
+
+def undirected_neighbors_reference(graph: CompGraph) -> tuple[tuple[int, ...], ...]:
+    """Each node's successors, then its predecessors."""
+    return tuple(s + p for s, p in zip(*neighbors_reference(graph)))
+
+
+def topo_sort_reference(graph: CompGraph):
+    """Kahn's algorithm with a min-id heap over the tuple neighbours: the
+    order and the rank (node id -> position) as tuples."""
+    n = graph.num_nodes
+    succ, pred = neighbors_reference(graph)
+    indeg = [len(p) for p in pred]
+    frontier = [v for v in range(n) if indeg[v] == 0]
+    heapq.heapify(frontier)
+    order: list[int] = []
+    while frontier:
+        v = heapq.heappop(frontier)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(frontier, w)
+    if len(order) < n:
+        raise CycleDetected([])
+    rank = [0] * n
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    return tuple(order), tuple(rank)
+
+
+def _json_int(value):
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def load_graph_reference(path) -> CompGraph:
+    """`load_graph` as one OpNode per node with every value checked as a
+    JSON integer, the nodes sorted by id, the overflow check in file order,
+    then `validate`."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        nodes = [
+            OpNode(_json_int(n["id"]), _json_int(n["op_type"]),
+                   tuple(map(_json_int, n["output_shape"])))
+            for n in data["nodes"]
+        ]
+        edges = []
+        for edge in data["edges"]:
+            if len(edge) != 2:
+                raise ValueError(f"{edge!r} is not a pair")
+            edges.append(tuple(map(_json_int, edge)))
+        num_op_types = _json_int(data["num_op_types"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidNode(f"malformed graph file {path}: {exc}") from exc
+    for node in nodes:
+        try:
+            volume(node.output_shape)
+        except OverflowError:
+            raise ValueError(
+                f"graph file {path}: node {node.id} output_shape volume overflows float64"
+            ) from None
+    g = CompGraph(sorted(nodes, key=lambda node: node.id), edges, num_op_types)
+    validate(g)
+    return g
+
+
+def node_table_rows_reference(graph: CompGraph) -> tuple[tuple, ...]:
+    """The simulator's node table rows from a loop over the reference order
+    and tuple neighbours: (v, op type, pred, volume) with a sole
+    predecessor and its volume, or the predecessor tuple and None."""
+    pred = neighbors_reference(graph)[1]
+    nodes = graph.nodes
+    rows = []
+    for v in topo_sort_reference(graph)[0]:
+        if len(pred[v]) == 1:
+            (u,) = pred[v]
+            rows.append((v, nodes[v].op_type, u, volume(nodes[u].output_shape)))
+        else:
+            rows.append((v, nodes[v].op_type, pred[v], None))
+    return tuple(rows)
+
+
+def level_table_reference(graph: CompGraph, depths: np.ndarray, count: int):
+    """The simulator's level table arrays built from the tuple neighbours
+    and per-node volumes, as (order, op types, src, dst, volumes, heads,
+    node bounds, edge bounds)."""
+    pred = neighbors_reference(graph)[1]
+    n = graph.num_nodes
+    order = np.argsort(depths, kind="stable")
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    fan_in = np.array([len(p) for p in pred], dtype=np.intp)
+    src = np.array([u for p in pred for u in p], dtype=np.intp)
+    dst = np.repeat(position, fan_in)
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    heads = np.searchsorted(dst, np.arange(n + 1))
+    nodes = np.searchsorted(depths[order], np.arange(count + 1))
+    vol = np.array([volume(node.output_shape) for node in graph.nodes], dtype=np.float64)
+    ops = np.array([node.op_type for node in graph.nodes], dtype=np.intp)
+    return (order, ops[order], position[src], dst, vol[src].reshape(-1), heads,
+            tuple(nodes.tolist()), tuple(heads[nodes].tolist()))
+
+
+def depths_reference(graph: CompGraph) -> np.ndarray:
+    """Each node's longest path from a source, in edges, by relaxing the
+    edge pairs in reference topological order."""
+    rank = topo_sort_reference(graph)[1]
+    depth = [0] * graph.num_nodes
+    for u, v in sorted(graph.edges, key=lambda e: rank[e[0]]):
+        depth[v] = max(depth[v], depth[u] + 1)
+    return np.array(depth, dtype=np.intp)
+
+
+def pooled_level_reference(graph: CompGraph) -> PooledGraph:
+    """`PooledGraph.of` from the sorted edge pairs."""
+    pairs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    return PooledGraph(graph.num_nodes, pairs[:, 0], pairs[:, 1])
 
 
 def validate_reference(graph: CompGraph) -> None:
@@ -398,7 +535,7 @@ def validate_reference(graph: CompGraph) -> None:
         if (u, v) in seen:
             raise DuplicateEdge(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
-    graph.plan  # raises CycleDetected on cyclic input
+    graph.topo  # raises CycleDetected on cyclic input
 
 
 class NanWorkspace(Workspace):

@@ -19,7 +19,7 @@ from dagplace.fixtures import (
     random_dag,
     split_fixture,
 )
-from dagplace.graph import load_graph, save_graph
+from dagplace.graph import InvalidNode, load_graph, save_graph
 from dagplace.simulator import load_cost_model, save_cost_model, simulate, speedup
 from dagplace.training import ModelConfig, TrainConfig
 
@@ -243,7 +243,7 @@ def test_large_finite_output_shape_still_loads(tmp_path):
            "edges": [list(e) for e in g.edges]}
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(raw))
-    assert load_graph(path).plan.volumes == (1e300,) * 3
+    assert load_graph(path).volumes.tolist() == [1e300] * 3
 
 
 def test_baselines_speedup_stays_finite_for_huge_latencies(tmp_path, capsys):
@@ -359,6 +359,62 @@ def test_train_no_colocate(tmp_path, dominant_files):
     assert code == 0
     placement = json.loads((out / "best_placement.json").read_text())
     assert len(placement["assignments"]) == 6
+
+
+# (field, JSON literal): each sets one value that is not a JSON integer
+MALFORMED_GRAPH_VALUES = [
+    ("output_shape", "[2.7]"),
+    ("op_type", "1.9"),
+    ("edge", '[0.5, "1"]'),
+    ("num_op_types", "2.9"),
+    ("id", "true"),
+    ("op_type", "true"),
+    ("output_shape", "[true]"),
+    ("edge", "[true, 1]"),
+    ("num_op_types", "true"),
+    ("output_shape", "[1e400]"),
+]
+
+
+@pytest.mark.parametrize("field, literal", MALFORMED_GRAPH_VALUES)
+def test_graph_file_values_must_be_json_integers(tmp_path, split_files, field, literal):
+    """Ids, op types, shape entries, edge endpoints and num_op_types are
+    rejected, not truncated, when they are not JSON integers."""
+    graph_path, cm_path = split_files
+    data = json.loads(Path(graph_path).read_text())
+    marker = "__value__"
+    if field == "edge":
+        data["edges"][0] = marker
+    elif field == "num_op_types":
+        data["num_op_types"] = marker
+    else:
+        data["nodes"][1][field] = marker
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace(json.dumps(marker), literal))
+    with pytest.raises(InvalidNode, match=r"^malformed graph file "):
+        load_graph(bad)
+    for code, err in _usage_errors(bad, cm_path, tmp_path / "out"):
+        assert code == 2, err
+        assert f"malformed graph file {bad}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "table, entry", [("compute", '"1"'), ("compute", "true"), ("compute", "null"),
+                     ("transfer", '"0"'), ("transfer", "false")],
+)
+def test_cost_model_entries_must_be_json_numbers(tmp_path, split_files, table, entry):
+    graph_path, cm_path = split_files
+    data = json.loads(Path(cm_path).read_text())
+    data[table][0][0] = "__entry__"
+    bad = tmp_path / "cm.json"
+    bad.write_text(json.dumps(data).replace('"__entry__"', entry))
+    with pytest.raises(ValueError, match=r"^malformed cost model file "):
+        load_cost_model(bad)
+    for code, err in _usage_errors(graph_path, bad, tmp_path / "out"):
+        assert code == 2, err
+        assert f"malformed cost model file {bad}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_requires_graph_and_cost_model(capsys):

@@ -175,7 +175,7 @@ def test_fractal_dimensions_memory_below_one_byte_per_pair():
     2000-node random DAG its traced peak stays below n^2 bytes, which a
     dense n x n bool matrix alone would reach."""
     g = colocate(random_dag(2000, seed=0))[0]
-    g.undirected_neighbors  # the graph's own cache, built before tracing
+    g.undirected  # the graph's own cache, built before tracing
     assert g.num_nodes >= 1800
     tracemalloc.start()
     try:

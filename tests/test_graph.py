@@ -42,7 +42,7 @@ def test_make_graph_accepts_tuples_and_opnodes():
 def test_make_graph_sorts_nodes_by_id():
     g = make_graph([(1, 0, (2,)), (0, 1, (3,))], [(0, 1)], 2)
     assert [n.id for n in g.nodes] == [0, 1]
-    assert g.plan.op_types == (1, 0) and g.plan.volumes == (3.0, 2.0)
+    assert g.op_types.tolist() == [1, 0] and g.volumes.tolist() == [3.0, 2.0]
     assert g == make_graph([(0, 1, (3,)), (1, 0, (2,))], [(0, 1)], 2)
 
 
@@ -60,18 +60,18 @@ def test_adjacency_and_degrees(diamond):
     for u, v in [(0, 1), (0, 2), (1, 3), (2, 3)]:
         expected[u, v] = 1.0
     assert np.array_equal(a, expected)
-    nbrs = diamond.neighbors
-    assert nbrs.succ == ((1, 2), (3,), (3,), ())
-    assert nbrs.pred == ((), (0,), (0,), (1, 2))
-    assert diamond.neighbors is nbrs  # built once, then cached
-    assert diamond.plan.preds is nbrs.pred
+    succ, pred = diamond.succ, diamond.pred
+    assert succ.lists() == [[1, 2], [3], [3], []]
+    assert pred.lists() == [[], [0], [0], [1, 2]]
+    assert succ.counts.tolist() == [2, 1, 1, 0] and pred.counts.tolist() == [0, 1, 1, 2]
+    assert diamond.succ is succ and diamond.pred is pred  # built once, then cached
 
 
 def test_neighbors_keep_edge_order():
     g = make_graph([(i, 0, ()) for i in range(3)], [(0, 2), (1, 2), (0, 1)], 1)
-    assert g.neighbors.succ == ((2, 1), (2,), ())
-    assert g.neighbors.pred == ((), (0,), (0, 1))
-    assert g.undirected_neighbors == ((2, 1), (2, 0), (0, 1))
+    assert g.succ.lists() == [[2, 1], [2], []]
+    assert g.pred.lists() == [[], [0], [0, 1]]
+    assert g.undirected.lists() == [[2, 1], [2, 0], [0, 1]]
 
 
 def test_validate_rejects_sparse_ids():
@@ -136,20 +136,20 @@ def test_topo_sort_chain_and_diamond(diamond):
     chain = make_graph(
         [(0, 0, ()), (1, 0, ()), (2, 0, ())], [(0, 1), (1, 2)], num_op_types=1
     )
-    assert topo_sort(chain).order == (0, 1, 2)
-    assert topo_sort(diamond).order == (0, 1, 2, 3)
+    assert topo_sort(chain).order.tolist() == [0, 1, 2]
+    assert topo_sort(diamond).order.tolist() == [0, 1, 2, 3]
 
 
 def test_topo_sort_empty_graph():
     g = make_graph([], [], num_op_types=1)
-    assert topo_sort(g).order == ()
+    assert topo_sort(g).order.tolist() == []
 
 
 def test_topo_sort_prefers_smallest_ready_id():
     g = make_graph(
         [(0, 0, ()), (1, 0, ()), (2, 0, ())], [(2, 0), (2, 1)], num_op_types=1
     )
-    assert topo_sort(g).order == (2, 0, 1)
+    assert topo_sort(g).order.tolist() == [2, 0, 1]
 
 
 def test_topo_rank_is_inverse_of_order():

@@ -43,9 +43,13 @@ def zero_phi(width: int) -> Mlp:
 
 
 class FakeGraph:
+    """The node count and edge arrays that `PooledGraph.of` reads, and the
+    edge pairs."""
+
     def __init__(self, num_nodes, edges):
         self.num_nodes = num_nodes
         self.edges = tuple(edges)
+        self.src, self.dst = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
 
 
 def test_assign_matrix_validation():
